@@ -7,8 +7,10 @@
 //     table (BM_RandomPick / BM_RandomPickAlias),
 //   * least-load — O(log n) tournament tree vs the O(n) reference scan
 //     (BM_LeastLoadPick / BM_LeastLoadPickScan),
-//   * the round-robins, whose per-pick scan is O(active machines) by
-//     construction (BM_SmoothRrPick / BM_SwrrPick).
+//   * smooth round-robin (the paper's Algorithm 2) — O(log n) keyed
+//     tournament trees vs the O(n) reference scan (BM_SmoothRrPick /
+//     BM_SmoothRrPickScan), and its O(n) construction (BM_SmoothRrBuild),
+//   * SWRR, whose per-pick scan is O(active machines) (BM_SwrrPick).
 // Sampling *quality* (empirical vs target fractions) is evaluated by the
 // self-asserting harness in bench/eval_sampling.cpp.
 #include <benchmark/benchmark.h>
@@ -69,6 +71,28 @@ void BM_SmoothRrPick(benchmark::State& state) {
                 allocation_for(static_cast<size_t>(state.range(0)))));
 }
 BENCHMARK(BM_SmoothRrPick)->Apply(large_n_args);
+
+void BM_SmoothRrPickScan(benchmark::State& state) {
+  pick_loop(state,
+            std::make_unique<hs::dispatch::SmoothRoundRobinDispatcher>(
+                allocation_for(static_cast<size_t>(state.range(0))),
+                hs::dispatch::SmoothRrEngine::kScan));
+}
+BENCHMARK(BM_SmoothRrPickScan)->Apply(large_n_args);
+
+// Construction from an Allocation lvalue, as the adaptive dispatchers
+// re-solve it: a copy of the fractions plus the O(n) build of the pick
+// state. n = 15 is the paper's cluster size.
+void BM_SmoothRrBuild(benchmark::State& state) {
+  const hs::alloc::Allocation allocation =
+      allocation_for(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    hs::dispatch::SmoothRoundRobinDispatcher dispatcher(allocation);
+    benchmark::DoNotOptimize(dispatcher);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SmoothRrBuild)->Arg(15)->Arg(1000)->Arg(100000);
 
 void BM_SwrrPick(benchmark::State& state) {
   pick_loop(state, std::make_unique<hs::dispatch::SwrrDispatcher>(

@@ -12,7 +12,8 @@
 //     the batch's p99 as its iteration time, so the benchmark's
 //     real_time IS the p99 (and bench_to_json's min-over-rounds keeps
 //     the most contention-free estimate). The acceptance target is
-//     p99 <= 1µs at n = 10⁴ for Least-Load and alias-sampled ORAN.
+//     p99 <= 1µs at n = 10⁴ for Least-Load and alias-sampled ORAN; ORR
+//     (BM_ServingAcquireP99Orr) is measured alongside.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -164,6 +165,21 @@ void BM_ServingAcquireP99Alias(benchmark::State& state) {
 BENCHMARK(BM_ServingAcquireP99Alias)
     ->Setup([](const benchmark::State& state) {
       build_stack(PolicyKind::kORAN, SamplerKind::kAlias,
+                  static_cast<size_t>(state.range(0)));
+    })
+    ->Teardown(teardown_stack)
+    ->Arg(10000)
+    ->Iterations(64)
+    ->UseManualTime();
+
+// The paper's own policy: ORR (Algorithm 1's allocation dispatched by
+// Algorithm 2's smooth round-robin) behind the same serving path.
+void BM_ServingAcquireP99Orr(benchmark::State& state) {
+  acquire_p99_loop(state);
+}
+BENCHMARK(BM_ServingAcquireP99Orr)
+    ->Setup([](const benchmark::State& state) {
+      build_stack(PolicyKind::kORR, SamplerKind::kCdf,
                   static_cast<size_t>(state.range(0)));
     })
     ->Teardown(teardown_stack)

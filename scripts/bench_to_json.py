@@ -44,6 +44,7 @@ HEADLINE_LATENCY = [
     r"^BM_ServingAcquireP99LeastLoad/",
     r"^BM_ServingAcquireP99Alias/",
     r"^BM_ServingAcquireP99Health/",
+    r"^BM_ServingAcquireP99Orr/",
 ]
 
 

@@ -1303,6 +1303,13 @@ class RunContext : private sim::EventTarget {
       return;  // late duplicate of an already-resolved flight
     }
     Flight& flight = it->second;
+    if (msg.job.attempt != flight.job.attempt) {
+      // A copy of an earlier attempt (a duplicate or a delay-tail
+      // straggler) that arrives after that attempt failed and the retry
+      // reopened the flight: it belongs to no live copy, so it must not
+      // count as this attempt's delivery.
+      return;
+    }
     const uint8_t bit = static_cast<uint8_t>(1u << msg.copy);
     if ((flight.delivered_mask & bit) != 0) {
       return;  // duplicate delivery of this copy — dedup
@@ -1313,6 +1320,8 @@ class RunContext : private sim::EventTarget {
     if (flight.completed) {
       // The sibling copy already finished: this arrival is dead on
       // arrival and never occupies the machine.
+      HS_CHECK(flight.pending > 0,
+               "pending underflow on flight " << flight.job.id);
       --flight.pending;
       net_record_cancelled(flight, msg.job);
       net_maybe_gc(it);
@@ -1344,11 +1353,15 @@ class RunContext : private sim::EventTarget {
                        msg.job.id, static_cast<int32_t>(machine),
                        static_cast<uint16_t>(msg.job.attempt));
       }
+      HS_CHECK(flight.pending > 0,
+               "pending underflow on flight " << flight.job.id);
       --flight.pending;
       net_on_copy_failed(it, measured);
       return;
     }
     flight.resident_mask |= bit;
+    HS_CHECK(flight.pending > 0,
+             "pending underflow on flight " << flight.job.id);
     --flight.pending;
     if (any_overload_feedback_) [[unlikely]] {
       schedulers_[flight.scheduler]->on_dispatch_result(machine, true,
@@ -1361,6 +1374,8 @@ class RunContext : private sim::EventTarget {
     HS_CHECK(it != flights_.end(),
              "loss detected for untracked flight " << msg.job.id);
     Flight& flight = it->second;
+    HS_CHECK(flight.pending > 0,
+             "pending underflow on flight " << flight.job.id);
     --flight.pending;
     if (msg.notify_fail != 0 && any_overload_feedback_) {
       // The scheduler sees the silent failure as a dispatch rejection —

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "cluster/sim.h"
 #include "core/policy.h"
@@ -119,16 +121,17 @@ INSTANTIATE_TEST_SUITE_P(RandomConfigs, Conservation,
 // CircuitBreaker(Hedged(FaultAware(adaptive))). Every arrival must be
 // accounted for exactly once:
 // arrivals = completed + shed + dropped + in-flight at the end.
-class FullStackConservation : public ::testing::TestWithParam<int> {};
-
-TEST_P(FullStackConservation, ArrivalsAreConserved) {
-  const uint64_t seed = static_cast<uint64_t>(GetParam());
+// Every robustness layer at once: faults, overload, uncertainty, lossy
+// duplicating links with a partition, heartbeats, and the full decorator
+// stack CircuitBreaker(Hedged(FaultAware(adaptive ORR))).
+SimulationConfig full_stack_config(std::vector<double> speeds, double rho,
+                                   uint64_t seed) {
   SimulationConfig config;
-  config.speeds = {4.0, 2.0, 1.0};
-  config.rho = 0.9;
+  config.speeds = std::move(speeds);
+  config.rho = rho;
   config.sim_time = 15000.0;
   config.warmup_frac = 0.25;
-  config.seed = seed * 7919 + 13;
+  config.seed = seed;
   config.workload.arrival_kind = hs::workload::ArrivalKind::kPoisson;
   config.workload.size_kind = hs::workload::SizeKind::kExponential;
   config.workload.fixed_or_mean_size = 1.0;
@@ -167,7 +170,10 @@ TEST_P(FullStackConservation, ArrivalsAreConserved) {
   config.network.partitions.push_back({5000.0, 400.0, {1}});
   config.network.heartbeat.interval = 2.0;
   config.network.heartbeat.phi_threshold = 4.0;
+  return config;
+}
 
+void expect_full_stack_conserves(const SimulationConfig& config) {
   hs::uncertainty::AdaptiveOptions options;
   options.mean_job_size = config.workload.mean_job_size();
   options.time_constant = 1000.0;
@@ -189,15 +195,55 @@ TEST_P(FullStackConservation, ArrivalsAreConserved) {
   EXPECT_EQ(result.total_arrivals,
             result.total_completed + result.total_shed +
                 result.total_dropped + result.in_flight_at_end)
-      << "seed=" << seed << " arrivals=" << result.total_arrivals
+      << "seed=" << config.seed << " arrivals=" << result.total_arrivals
       << " completed=" << result.total_completed
       << " shed=" << result.total_shed
       << " dropped=" << result.total_dropped
       << " in_flight=" << result.in_flight_at_end;
 }
 
+class FullStackConservation : public ::testing::TestWithParam<int> {};
+
+TEST_P(FullStackConservation, ArrivalsAreConserved) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  expect_full_stack_conserves(
+      full_stack_config({4.0, 2.0, 1.0}, 0.9, seed * 7919 + 13));
+}
+
 INSTANTIATE_TEST_SUITE_P(TenSeeds, FullStackConservation,
                          ::testing::Range(1, 11));
+
+// The same stack on the 15-machine cluster. Each case once aborted: a
+// dispatch copy of a failed attempt (a duplicate or a delay-tail
+// straggler) arrived after the retry had reopened the job's flight and
+// was counted as the new attempt's delivery. The run then evicted the
+// wrong machine, resolved the flight early, or (rho 0.9, seed 11) lost
+// a job without an abort.
+struct FullStack15Case {
+  double rho;
+  uint64_t seed;
+};
+
+class FullStackConservation15
+    : public ::testing::TestWithParam<FullStack15Case> {};
+
+TEST_P(FullStackConservation15, ArrivalsAreConserved) {
+  const FullStack15Case c = GetParam();
+  expect_full_stack_conserves(full_stack_config(
+      {1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 1.5, 2.0, 2.0, 2.0, 5.0,
+       10.0, 12.0},
+      c.rho, c.seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StaleMessageRepros, FullStackConservation15,
+    ::testing::Values(FullStack15Case{0.7, 1}, FullStack15Case{0.7, 11},
+                      FullStack15Case{0.9, 7}, FullStack15Case{0.9, 8},
+                      FullStack15Case{0.9, 11}),
+    [](const ::testing::TestParamInfo<FullStack15Case>& info) {
+      return std::string(info.param.rho < 0.8 ? "rho07" : "rho09") +
+             "_seed" + std::to_string(info.param.seed);
+    });
 
 // The same full-chaos configuration with the O(1) alias sampler routing
 // the jobs: CircuitBreaker(Hedged(FaultAware(ORAN + alias))). Crash and

@@ -15,6 +15,7 @@
 #include <new>
 #include <vector>
 
+#include "alloc/optimized.h"
 #include "core/policy.h"
 #include "dispatch/random_dispatcher.h"
 #include "dispatch/smooth_rr.h"
@@ -53,6 +54,7 @@ using hs::core::PolicyKind;
 using hs::dispatch::RandomDispatcher;
 using hs::dispatch::SamplerKind;
 using hs::dispatch::SmoothRoundRobinDispatcher;
+using hs::dispatch::SmoothRrEngine;
 using hs::dispatch::SwrrDispatcher;
 using hs::rng::AliasTable;
 using hs::rng::DiscreteChoice;
@@ -138,20 +140,72 @@ TEST(SamplerAllocation, RandomDispatcherRebuildIsAllocationFree) {
   }
 }
 
-TEST(SamplerAllocation, SmoothRoundRobinRebuildIsAllocationFree) {
-  SmoothRoundRobinDispatcher dispatcher(
-      hs::alloc::Allocation(varied_fractions(0)));
-  const std::vector<double> fractions_a = varied_fractions(1);
-  const std::vector<double> fractions_b = varied_fractions(2);
-  Xoshiro256 gen(9);
-  ASSERT_TRUE(dispatcher.rebuild_fractions(fractions_a));  // warm
-  AllocGuard guard;
-  for (int i = 0; i < 500; ++i) {
-    EXPECT_TRUE(dispatcher.rebuild_fractions(i % 2 == 0 ? fractions_a
-                                                        : fractions_b));
-    (void)dispatcher.pick(gen);
+// Same values with every `stride`-th machine excluded (fraction 0),
+// rescaled to sum to 1: rebuilds between these change the active count.
+std::vector<double> fractions_with_zeros(uint64_t round, size_t stride) {
+  std::vector<double> fractions = varied_weights(round);
+  double sum = 0.0;
+  for (size_t i = 0; i < kMachines; ++i) {
+    if (i % stride == 0) {
+      fractions[i] = 0.0;
+    }
+    sum += fractions[i];
   }
-  EXPECT_EQ(guard.count(), 0u);
+  for (double& f : fractions) {
+    f /= sum;
+  }
+  return fractions;
+}
+
+TEST(SamplerAllocation, SmoothRoundRobinRebuildIsAllocationFree) {
+  for (const SmoothRrEngine engine :
+       {SmoothRrEngine::kTree, SmoothRrEngine::kScan}) {
+    // No warm-up: construction sizes every buffer for all machines, so
+    // even the first rebuild to a larger active set reuses them.
+    SmoothRoundRobinDispatcher dispatcher(
+        hs::alloc::Allocation(fractions_with_zeros(0, 3)), engine);
+    const std::vector<std::vector<double>> churn = {
+        varied_fractions(1), fractions_with_zeros(2, 2),
+        varied_fractions(3), fractions_with_zeros(4, 5)};
+    Xoshiro256 gen(9);
+    AllocGuard guard;
+    for (size_t i = 0; i < 500; ++i) {
+      EXPECT_TRUE(dispatcher.rebuild_fractions(churn[i % churn.size()]));
+      for (int j = 0; j < 300; ++j) {
+        (void)dispatcher.pick(gen);
+      }
+    }
+    EXPECT_EQ(guard.count(), 0u)
+        << "engine " << (engine == SmoothRrEngine::kTree ? "tree" : "scan");
+  }
+}
+
+// Construction cost is part of every adaptive re-solve and of the
+// policy factories: it must stay a fixed handful of allocations (the
+// copied fractions plus one buffer per piece of pick state), whatever
+// the cluster size — never one per push_back growth step.
+TEST(SamplerAllocation, SmoothRoundRobinConstructionAllocationsAreBounded) {
+  std::vector<double> speeds15 = {1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5,
+                                  1.5, 2.0, 2.0, 2.0, 5.0, 10.0, 12.0};
+  std::vector<double> speeds1000(1000);
+  Xoshiro256 speed_gen(2024);
+  for (double& s : speeds1000) {
+    s = speed_gen.uniform(0.5, 20.0);
+  }
+  for (const std::vector<double>* speeds : {&speeds15, &speeds1000}) {
+    const hs::alloc::Allocation allocation =
+        hs::alloc::OptimizedAllocation().compute(*speeds, 0.7);
+    AllocGuard guard;
+    SmoothRoundRobinDispatcher dispatcher(allocation);
+    EXPECT_LE(guard.count(), 8u) << "n = " << speeds->size();
+    // And picking allocates nothing.
+    Xoshiro256 gen(3);
+    AllocGuard pick_guard;
+    for (int i = 0; i < 20000; ++i) {
+      (void)dispatcher.pick(gen);
+    }
+    EXPECT_EQ(pick_guard.count(), 0u) << "n = " << speeds->size();
+  }
 }
 
 TEST(SamplerAllocation, SwrrRebuildIsAllocationFree) {
