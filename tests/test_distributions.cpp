@@ -44,6 +44,10 @@ struct MomentCase {
   double var_tol;    // relative
 };
 
+// gtest puts the printed parameter into each listed test name. The raw
+// bytes hold pointers and would rename the test on every build.
+void PrintTo(const MomentCase& c, std::ostream* os) { *os << c.label; }
+
 class MomentMatch : public ::testing::TestWithParam<MomentCase> {};
 
 TEST_P(MomentMatch, EmpiricalMatchesAnalytic) {

@@ -50,6 +50,11 @@ struct P2Case {
   double rel_tol;
 };
 
+// gtest puts the printed parameter into each listed test name. The raw
+// bytes hold a pointer and padding and would rename the test on every
+// build.
+void PrintTo(const P2Case& c, std::ostream* os) { *os << c.label; }
+
 class P2Accuracy : public ::testing::TestWithParam<P2Case> {};
 
 TEST_P(P2Accuracy, TracksExactQuantile) {

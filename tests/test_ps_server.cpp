@@ -159,6 +159,10 @@ struct Mm1Case {
   double speed;
 };
 
+// gtest puts the printed parameter into each listed test name. The raw
+// bytes hold a pointer and would rename the test on every build.
+void PrintTo(const Mm1Case& c, std::ostream* os) { *os << c.label; }
+
 class PsServerMm1 : public ::testing::TestWithParam<Mm1Case> {};
 
 TEST_P(PsServerMm1, MatchesClosedForm) {
