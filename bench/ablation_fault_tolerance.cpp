@@ -32,10 +32,13 @@ ExperimentResult run_with_faults(const BenchOptions& options,
                                  const hs::cluster::FaultConfig& faults) {
   auto config = hs::bench::paper_experiment(options, speeds, rho);
   config.simulation.faults = faults;
-  auto factory =
-      aware ? hs::core::fault_aware_dispatcher_factory(policy, speeds, rho)
-            : hs::core::policy_dispatcher_factory(policy, speeds, rho);
-  return hs::cluster::run_experiment(config, factory);
+  if (!aware) {
+    return hs::cluster::run_experiment(
+        config, hs::core::policy_dispatcher_factory(policy, speeds, rho));
+  }
+  return hs::cluster::run_experiment(config, [policy, speeds, rho] {
+    return hs::core::make_fault_aware_dispatcher(policy, speeds, rho);
+  });
 }
 
 std::string loss_summary(const ExperimentResult& result) {

@@ -40,6 +40,7 @@
 
 #include "bench_common.h"
 #include "cluster/config.h"
+#include "dispatch/hedged.h"
 
 namespace {
 
@@ -79,12 +80,16 @@ ExperimentResult run_network(const BenchOptions& options,
   // Transit-lost copies re-route through the fault layer's retry path.
   config.simulation.faults.retry.max_attempts = 4;
   config.simulation.faults.retry.backoff_initial = 1.0;
-  auto factory =
-      hedge_delay > 0.0
-          ? hs::core::hedged_dispatcher_factory(policy, speeds, rho,
-                                                HedgingConfig{hedge_delay})
-          : hs::core::policy_dispatcher_factory(policy, speeds, rho);
-  return hs::cluster::run_experiment(config, factory);
+  if (hedge_delay <= 0.0) {
+    return hs::cluster::run_experiment(
+        config, hs::core::policy_dispatcher_factory(policy, speeds, rho));
+  }
+  return hs::cluster::run_experiment(config, [policy, speeds, rho,
+                                              hedge_delay] {
+    return std::make_unique<hs::dispatch::HedgedDispatcher>(
+        hs::core::make_policy_dispatcher(policy, speeds, rho),
+        HedgingConfig{hedge_delay});
+  });
 }
 
 std::string hedge_summary(const ExperimentResult& result) {
@@ -237,9 +242,11 @@ int main(int argc, char** argv) {
       config.simulation.workload.fixed_or_mean_size = 76.8;
       config.simulation.faults.retry.max_attempts = 4;
       config.simulation.faults.retry.backoff_initial = 1.0;
-      const auto result = hs::cluster::run_experiment(
-          config, core::circuit_breaker_dispatcher_factory(
-                      PolicyKind::kORR, speeds, rho, {}));
+      const auto result =
+          hs::cluster::run_experiment(config, [speeds, rho] {
+            return core::make_circuit_breaker_dispatcher(PolicyKind::kORR,
+                                                         speeds, rho, {});
+          });
       balanced = balanced && accounting_balances(result);
       if (split) {
         split_suspicions = result.total_suspicions;

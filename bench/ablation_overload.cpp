@@ -86,12 +86,15 @@ ExperimentResult run_level(const BenchOptions& options,
                            const OverloadKnobs& knobs) {
   auto config = hs::bench::paper_experiment(options, speeds, rho);
   config.simulation.overload = overload_for(level, knobs);
-  auto factory =
-      level == Level::kFull
-          ? hs::core::circuit_breaker_dispatcher_factory(policy, speeds, rho,
-                                                         knobs.breaker)
-          : hs::core::policy_dispatcher_factory(policy, speeds, rho);
-  return hs::cluster::run_experiment(config, factory);
+  if (level != Level::kFull) {
+    return hs::cluster::run_experiment(
+        config, hs::core::policy_dispatcher_factory(policy, speeds, rho));
+  }
+  return hs::cluster::run_experiment(
+      config, [policy, speeds, rho, breaker = knobs.breaker] {
+        return hs::core::make_circuit_breaker_dispatcher(policy, speeds, rho,
+                                                         breaker);
+      });
 }
 
 /// Whole-run conservation: every arrival is eventually completed, shed,
@@ -231,8 +234,10 @@ int main(int argc, char** argv) {
       config.simulation.overload.shed_probability = admission.prob;
     }
     const auto result = hs::cluster::run_experiment(
-        config, core::circuit_breaker_dispatcher_factory(
-                    PolicyKind::kORR, speeds, rho_admit, knobs.breaker));
+        config, [speeds, rho_admit, breaker = knobs.breaker] {
+          return core::make_circuit_breaker_dispatcher(
+              PolicyKind::kORR, speeds, rho_admit, breaker);
+        });
     balanced = balanced && accounting_balances(result);
     admit_table.begin_row();
     admit_table.cell(admission.label);

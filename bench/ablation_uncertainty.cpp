@@ -98,10 +98,11 @@ ExperimentResult run_variant(const BenchOptions& options,
     }
     case Variant::kAdaptive: {
       const auto beliefs = config.believed_params();
-      return hs::cluster::run_experiment(
-          config, hs::core::adaptive_dispatcher_factory(
-                      policy, beliefs.speeds, beliefs.rho,
-                      adaptive_options_for(config.simulation.sim_time)));
+      const auto adaptive = adaptive_options_for(config.simulation.sim_time);
+      return hs::cluster::run_experiment(config, [policy, beliefs, adaptive] {
+        return hs::core::make_adaptive_dispatcher(policy, beliefs.speeds,
+                                                  beliefs.rho, adaptive);
+      });
     }
   }
   HS_CHECK(false, "unreachable variant");

@@ -62,22 +62,26 @@ void check(bool ok, const char* what) {
   }
 }
 
+/// FaultAware over equal-share random dispatch, re-weighted in place over
+/// the backends believed up.
 std::unique_ptr<hs::dispatch::Dispatcher> make_stack() {
-  auto rebuilder = [](const std::vector<bool>& available) {
+  auto equal_shares = [](const std::vector<bool>& available,
+                         std::vector<double>& fractions) {
     size_t up = 0;
     for (const bool a : available) {
       up += a ? 1 : 0;
     }
-    std::vector<double> fractions(available.size(), 0.0);
+    fractions.assign(available.size(), 0.0);
     for (size_t i = 0; i < available.size(); ++i) {
       fractions[i] = available[i] ? 1.0 / static_cast<double>(up) : 0.0;
     }
-    return std::make_unique<hs::dispatch::RandomDispatcher>(
-        hs::alloc::Allocation(std::move(fractions)));
   };
-  std::vector<bool> all_up(kMachines, true);
+  std::vector<double> fractions;
+  equal_shares(std::vector<bool>(kMachines, true), fractions);
   return std::make_unique<hs::dispatch::FaultAwareDispatcher>(
-      rebuilder(all_up), rebuilder);
+      std::make_unique<hs::dispatch::RandomDispatcher>(
+          hs::alloc::Allocation(std::move(fractions))),
+      equal_shares);
 }
 
 ServingConfig make_config(ManualClock* clock,

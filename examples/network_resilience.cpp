@@ -99,11 +99,11 @@ int main() {
   // 3. Same links, hedged dispatch: a job still unfinished after
   // `delay` seconds gets a second copy on the least-loaded other
   // machine; first completion wins and the loser is evicted.
-  auto hedged = hs::core::make_hedged_dispatcher(
+  hs::dispatch::HedgedDispatcher hedged(
       hs::core::make_policy_dispatcher(hs::core::PolicyKind::kLeastLoad,
                                        config.speeds, config.rho),
       hs::dispatch::HedgingConfig{/*delay=*/600.0});
-  const auto rescued = hs::cluster::run_simulation(config, *hedged);
+  const auto rescued = hs::cluster::run_simulation(config, hedged);
   print_row("10% loss, hedged", rescued);
   print_identity(rescued);
 

@@ -1,7 +1,6 @@
 #include "core/adaptive.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "alloc/optimized.h"
 #include "util/check.h"
@@ -9,70 +8,16 @@
 
 namespace hs::core {
 
-UtilizationEstimator::UtilizationEstimator(double mean_job_size,
-                                           double total_speed,
-                                           double time_constant)
-    : mean_job_size_(mean_job_size),
-      total_speed_(total_speed),
-      time_constant_(time_constant) {
-  HS_CHECK(mean_job_size > 0.0,
-           "mean job size must be positive: " << mean_job_size);
-  HS_CHECK(total_speed > 0.0, "total speed must be positive: " << total_speed);
-  HS_CHECK(time_constant > 0.0,
-           "time constant must be positive: " << time_constant);
-}
-
-void UtilizationEstimator::observe_arrival(double now) {
-  HS_CHECK(now >= last_arrival_,
-           "arrival times must be non-decreasing: " << now << " < "
-                                                    << last_arrival_);
-  if (count_ > 0) {
-    const double gap = now - last_arrival_;
-    // Exponentially discounted count-over-time ratio: both numerator and
-    // denominator decay with exp(−age/τ), so the estimate is
-    //   λ̂ = (Σᵢ e^{−ageᵢ/τ}) / (Σᵢ e^{−ageᵢ/τ}·gapᵢ),
-    // an (asymptotically) unbiased renewal-rate estimator with ~τ
-    // seconds of memory. A naive per-gap EWMA weighted by gap length
-    // would be length-biased (long gaps over-counted) and estimate half
-    // the true rate on Poisson streams.
-    const double decay = std::exp(-gap / time_constant_);
-    discounted_count_ = discounted_count_ * decay + 1.0;
-    discounted_time_ = discounted_time_ * decay + gap;
-  }
-  last_arrival_ = now;
-  ++count_;
-}
-
-double UtilizationEstimator::arrival_rate() const {
-  if (count_ <= kWarmupArrivals || discounted_time_ <= 0.0) {
-    return 0.0;
-  }
-  return discounted_count_ / discounted_time_;
-}
-
-double UtilizationEstimator::estimate(double fallback) const {
-  const double rate = arrival_rate();
-  if (rate <= 0.0) {
-    return fallback;
-  }
-  return rate * mean_job_size_ / total_speed_;
-}
-
-void UtilizationEstimator::reset() {
-  discounted_count_ = 0.0;
-  discounted_time_ = 0.0;
-  last_arrival_ = 0.0;
-  count_ = 0;
-}
-
 AdaptiveOrrDispatcher::AdaptiveOrrDispatcher(std::vector<double> speeds,
                                              AdaptiveOrrOptions options)
     : speeds_(std::move(speeds)),
+      total_speed_(util::kahan_sum(speeds_)),
       options_(options),
-      estimator_(options.mean_job_size, util::kahan_sum(speeds_),
-                 options.time_constant),
+      estimator_(options.time_constant),
       assumed_rho_(options.initial_rho) {
   HS_CHECK(!speeds_.empty(), "adaptive ORR needs at least one machine");
+  HS_CHECK(options.mean_job_size > 0.0,
+           "mean job size must be positive: " << options.mean_job_size);
   HS_CHECK(options.safety_factor > 0.0,
            "safety factor must be positive: " << options.safety_factor);
   HS_CHECK(options.recompute_every >= 1, "recompute interval must be >= 1");
@@ -81,6 +26,14 @@ AdaptiveOrrDispatcher::AdaptiveOrrDispatcher(std::vector<double> speeds,
   available_.assign(speeds_.size(), true);
   rebuild(options_.initial_rho);
   recomputations_ = 0;  // the initial build does not count
+}
+
+double AdaptiveOrrDispatcher::estimated_rho(double fallback) const {
+  const double rate = estimator_.rate();
+  if (rate <= 0.0) {
+    return fallback;
+  }
+  return rate * options_.mean_job_size / total_speed_;
 }
 
 bool AdaptiveOrrDispatcher::mask_active() const {
@@ -110,10 +63,9 @@ void AdaptiveOrrDispatcher::rebuild(double rho_estimate) {
         survivor_speeds.push_back(speeds_[i]);
       }
     }
-    const double total = util::kahan_sum(speeds_);
     const double survivor_total = util::kahan_sum(survivor_speeds);
     const double effective =
-        std::clamp(assumed * total / survivor_total, options_.min_rho,
+        std::clamp(assumed * total_speed_ / survivor_total, options_.min_rho,
                    options_.max_rho);
     const alloc::Allocation survivor_alloc =
         alloc::OptimizedAllocation().compute(survivor_speeds, effective);
@@ -147,16 +99,19 @@ bool AdaptiveOrrDispatcher::set_available_mask(
   // Re-optimize immediately from the current estimate; the ρ̂ estimator
   // itself is untouched (it observes arrivals, which a crash does not
   // change).
-  rebuild(estimator_.estimate(options_.initial_rho));
+  rebuild(estimated_rho(options_.initial_rho));
   return true;
 }
 
 void AdaptiveOrrDispatcher::on_arrival(double now) {
-  estimator_.observe_arrival(now);
+  HS_CHECK(now >= estimator_.last_event(),
+           "arrival times must be non-decreasing: "
+               << now << " < " << estimator_.last_event());
+  estimator_.observe(now);
   if (++arrivals_since_recompute_ >= options_.recompute_every &&
-      estimator_.arrival_rate() > 0.0) {
+      estimator_.rate() > 0.0) {
     arrivals_since_recompute_ = 0;
-    rebuild(estimator_.estimate(options_.initial_rho));
+    rebuild(estimated_rho(options_.initial_rho));
   }
 }
 

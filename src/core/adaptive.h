@@ -5,17 +5,15 @@
 // but fragile to underestimation at high load. Its closing observation —
 // "using the average system utilization over a long period of time is
 // sufficient; it is not necessary to measure ρ and recompute often" —
-// presumes someone measures ρ at all. This module does that measurement
-// at the scheduler, with zero machine feedback:
-//
-//  * UtilizationEstimator — EWMA of the arrival rate observed by the
-//    scheduler, converted to ρ̂ = λ̂·E[size]/Σs (mean job size is the one
-//    long-run workload constant the operator must supply, exactly as the
-//    paper assumes μ is known).
-//  * AdaptiveOrrDispatcher — wraps the smoothed round-robin dispatcher
-//    and periodically recomputes the optimized allocation from ρ̂,
-//    inflated by a small safety factor per the paper's own advice to
-//    "conservatively overestimate system load slightly".
+// presumes someone measures ρ at all. AdaptiveOrrDispatcher does that
+// measurement at the scheduler, with zero machine feedback: it tracks
+// the arrival rate λ̂ it observes with an uncertainty::RateEstimator,
+// converts it to ρ̂ = λ̂·E[size]/Σs (mean job size is the one long-run
+// workload constant the operator must supply, exactly as the paper
+// assumes μ is known), and wraps the smoothed round-robin dispatcher,
+// periodically recomputing the optimized allocation from ρ̂ inflated by
+// a small safety factor per the paper's own advice to "conservatively
+// overestimate system load slightly".
 #pragma once
 
 #include <cstdint>
@@ -25,42 +23,9 @@
 #include "alloc/allocation.h"
 #include "dispatch/dispatcher.h"
 #include "dispatch/smooth_rr.h"
+#include "uncertainty/estimators.h"
 
 namespace hs::core {
-
-/// Exponentially weighted estimate of the utilization implied by the
-/// arrival stream. Time-constant based: observations decay with
-/// exp(−Δt/τ), so the estimate tracks drifting load with a memory of
-/// roughly τ seconds regardless of the arrival rate.
-class UtilizationEstimator {
- public:
-  /// `mean_job_size` in base-speed seconds; `total_speed` = Σsᵢ;
-  /// `time_constant` τ in seconds.
-  UtilizationEstimator(double mean_job_size, double total_speed,
-                       double time_constant);
-
-  /// Record one arrival at time `now` (non-decreasing).
-  void observe_arrival(double now);
-
-  /// Current ρ̂; falls back to `fallback` until enough arrivals are seen.
-  [[nodiscard]] double estimate(double fallback = 0.5) const;
-
-  [[nodiscard]] uint64_t observed_arrivals() const { return count_; }
-  /// Estimated arrival rate λ̂ (0 until warmed up).
-  [[nodiscard]] double arrival_rate() const;
-
-  void reset();
-
- private:
-  double mean_job_size_;
-  double total_speed_;
-  double time_constant_;
-  double discounted_count_ = 0.0;  // Σ e^{−age/τ} over past arrivals
-  double discounted_time_ = 0.0;   // Σ e^{−age/τ}·gap
-  double last_arrival_ = 0.0;
-  uint64_t count_ = 0;
-  static constexpr uint64_t kWarmupArrivals = 16;
-};
 
 struct AdaptiveOrrOptions {
   double mean_job_size = 76.8;    // the workload's long-run mean (§4.1)
@@ -101,7 +66,10 @@ class AdaptiveOrrDispatcher final : public dispatch::Dispatcher {
   /// The utilization currently assumed by the inner allocation
   /// (estimate × safety factor, clamped).
   [[nodiscard]] double assumed_rho() const { return assumed_rho_; }
-  [[nodiscard]] const UtilizationEstimator& estimator() const {
+  /// ρ̂ = λ̂·E[size]/Σs from the arrivals seen so far; `fallback` until
+  /// the rate estimator warms up.
+  [[nodiscard]] double estimated_rho(double fallback) const;
+  [[nodiscard]] const uncertainty::RateEstimator& estimator() const {
     return estimator_;
   }
   [[nodiscard]] const alloc::Allocation& allocation() const;
@@ -115,8 +83,9 @@ class AdaptiveOrrDispatcher final : public dispatch::Dispatcher {
   [[nodiscard]] bool mask_active() const;
 
   std::vector<double> speeds_;
+  double total_speed_;
   AdaptiveOrrOptions options_;
-  UtilizationEstimator estimator_;
+  uncertainty::RateEstimator estimator_;
   double assumed_rho_;
   uint64_t arrivals_since_recompute_ = 0;
   uint64_t recomputations_ = 0;

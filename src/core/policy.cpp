@@ -224,9 +224,10 @@ void policy_fractions_masked_into(PolicyKind kind,
   }
 }
 
-std::function<void(const std::vector<bool>&, std::vector<double>&)>
-policy_masked_reweighter(PolicyKind kind, std::vector<double> speeds,
-                         double rho, double rho_estimate_factor) {
+dispatch::Reweighter policy_masked_reweighter(PolicyKind kind,
+                                              std::vector<double> speeds,
+                                              double rho,
+                                              double rho_estimate_factor) {
   // std::function requires copyability, so the scratch is shared; the
   // function object is invoked from one dispatcher stack at a time.
   auto scratch = std::make_shared<MaskedReweightScratch>();
@@ -238,102 +239,37 @@ policy_masked_reweighter(PolicyKind kind, std::vector<double> speeds,
   };
 }
 
+namespace {
+
+/// Least-Load masks natively and needs none; the static policies
+/// re-weight over the survivors.
+dispatch::Reweighter survivor_reweighter(PolicyKind kind,
+                                         const std::vector<double>& speeds,
+                                         double rho,
+                                         double rho_estimate_factor) {
+  if (is_dynamic(kind)) {
+    return {};
+  }
+  return policy_masked_reweighter(kind, speeds, rho, rho_estimate_factor);
+}
+
+}  // namespace
+
 std::unique_ptr<dispatch::Dispatcher> make_fault_aware_dispatcher(
     PolicyKind kind, const std::vector<double>& speeds, double rho,
     double rho_estimate_factor, dispatch::SamplerKind sampler) {
-  if (kind == PolicyKind::kLeastLoad) {
-    // Least-Load masks natively; its queue estimates survive transitions.
-    return std::make_unique<dispatch::FaultAwareDispatcher>(
-        std::make_unique<dispatch::LeastLoadDispatcher>(speeds));
-  }
-  auto rebuilder = [kind, speeds, rho, rho_estimate_factor,
-                    sampler](const std::vector<bool>& available)
-      -> std::unique_ptr<dispatch::Dispatcher> {
-    alloc::Allocation allocation = policy_allocation_masked(
-        kind, speeds, rho, available, rho_estimate_factor);
-    switch (kind) {
-      case PolicyKind::kWRAN:
-      case PolicyKind::kORAN:
-        return std::make_unique<dispatch::RandomDispatcher>(
-            std::move(allocation), sampler);
-      case PolicyKind::kWRR:
-      case PolicyKind::kORR:
-        return std::make_unique<dispatch::SmoothRoundRobinDispatcher>(
-            std::move(allocation));
-      case PolicyKind::kLeastLoad:
-        break;
-    }
-    HS_CHECK(false, "unreachable policy kind");
-    return nullptr;
-  };
-  auto inner = make_policy_dispatcher(kind, speeds, rho, rho_estimate_factor,
-                                      sampler);
   return std::make_unique<dispatch::FaultAwareDispatcher>(
-      std::move(inner), std::move(rebuilder),
-      policy_masked_reweighter(kind, speeds, rho, rho_estimate_factor));
-}
-
-cluster::DispatcherFactory fault_aware_dispatcher_factory(
-    PolicyKind kind, std::vector<double> speeds, double rho,
-    double rho_estimate_factor) {
-  return [kind, speeds = std::move(speeds), rho, rho_estimate_factor] {
-    return make_fault_aware_dispatcher(kind, speeds, rho,
-                                       rho_estimate_factor);
-  };
+      make_policy_dispatcher(kind, speeds, rho, rho_estimate_factor, sampler),
+      survivor_reweighter(kind, speeds, rho, rho_estimate_factor));
 }
 
 std::unique_ptr<dispatch::Dispatcher> make_circuit_breaker_dispatcher(
     PolicyKind kind, const std::vector<double>& speeds, double rho,
     const overload::CircuitBreakerConfig& breaker, double rho_estimate_factor,
     dispatch::SamplerKind sampler) {
-  if (kind == PolicyKind::kLeastLoad) {
-    // Least-Load masks natively; its queue estimates survive trips.
-    return std::make_unique<overload::CircuitBreakerDispatcher>(
-        std::make_unique<dispatch::LeastLoadDispatcher>(speeds), breaker);
-  }
-  auto rebuilder = [kind, speeds, rho, rho_estimate_factor,
-                    sampler](const std::vector<bool>& available)
-      -> std::unique_ptr<dispatch::Dispatcher> {
-    alloc::Allocation allocation = policy_allocation_masked(
-        kind, speeds, rho, available, rho_estimate_factor);
-    switch (kind) {
-      case PolicyKind::kWRAN:
-      case PolicyKind::kORAN:
-        return std::make_unique<dispatch::RandomDispatcher>(
-            std::move(allocation), sampler);
-      case PolicyKind::kWRR:
-      case PolicyKind::kORR:
-        return std::make_unique<dispatch::SmoothRoundRobinDispatcher>(
-            std::move(allocation));
-      case PolicyKind::kLeastLoad:
-        break;
-    }
-    HS_CHECK(false, "unreachable policy kind");
-    return nullptr;
-  };
-  auto inner = make_policy_dispatcher(kind, speeds, rho, rho_estimate_factor,
-                                      sampler);
   return std::make_unique<overload::CircuitBreakerDispatcher>(
-      std::move(inner), breaker, std::move(rebuilder),
-      policy_masked_reweighter(kind, speeds, rho, rho_estimate_factor));
-}
-
-std::unique_ptr<dispatch::Dispatcher> make_hedged_dispatcher(
-    std::unique_ptr<dispatch::Dispatcher> inner,
-    const dispatch::HedgingConfig& hedging) {
-  return std::make_unique<dispatch::HedgedDispatcher>(std::move(inner),
-                                                      hedging);
-}
-
-cluster::DispatcherFactory hedged_dispatcher_factory(
-    PolicyKind kind, std::vector<double> speeds, double rho,
-    dispatch::HedgingConfig hedging, double rho_estimate_factor) {
-  return [kind, speeds = std::move(speeds), rho, hedging,
-          rho_estimate_factor]() -> std::unique_ptr<dispatch::Dispatcher> {
-    return make_hedged_dispatcher(
-        make_policy_dispatcher(kind, speeds, rho, rho_estimate_factor),
-        hedging);
-  };
+      make_policy_dispatcher(kind, speeds, rho, rho_estimate_factor, sampler),
+      breaker, survivor_reweighter(kind, speeds, rho, rho_estimate_factor));
 }
 
 std::unique_ptr<dispatch::Dispatcher> make_adaptive_dispatcher(
@@ -347,32 +283,6 @@ std::unique_ptr<dispatch::Dispatcher> make_adaptive_dispatcher(
                        : uncertainty::AdaptiveScheme::kWeighted;
   return std::make_unique<uncertainty::GovernedAdaptiveDispatcher>(
       believed_speeds, believed_rho, options);
-}
-
-cluster::DispatcherFactory adaptive_dispatcher_factory(
-    PolicyKind kind, std::vector<double> believed_speeds, double believed_rho,
-    uncertainty::AdaptiveOptions options, bool fault_aware) {
-  return [kind, believed_speeds = std::move(believed_speeds), believed_rho,
-          options, fault_aware]() -> std::unique_ptr<dispatch::Dispatcher> {
-    auto adaptive = make_adaptive_dispatcher(kind, believed_speeds,
-                                             believed_rho, options);
-    if (!fault_aware) {
-      return adaptive;
-    }
-    // Native masking: the adaptive core survives fault transitions.
-    return std::make_unique<dispatch::FaultAwareDispatcher>(
-        std::move(adaptive));
-  };
-}
-
-cluster::DispatcherFactory circuit_breaker_dispatcher_factory(
-    PolicyKind kind, std::vector<double> speeds, double rho,
-    overload::CircuitBreakerConfig breaker, double rho_estimate_factor) {
-  return [kind, speeds = std::move(speeds), rho, breaker,
-          rho_estimate_factor] {
-    return make_circuit_breaker_dispatcher(kind, speeds, rho, breaker,
-                                           rho_estimate_factor);
-  };
 }
 
 }  // namespace hs::core

@@ -12,7 +12,6 @@
 // system utilization.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "alloc/optimized.h"
 #include "cluster/experiment.h"
 #include "dispatch/dispatcher.h"
-#include "dispatch/hedged.h"
 #include "dispatch/random_dispatcher.h"
 #include "overload/circuit_breaker.h"
 #include "uncertainty/adaptive.h"
@@ -93,8 +91,8 @@ struct MaskedReweightScratch {
 /// intermediate. The output is normalized such that feeding it through
 /// Dispatcher::rebuild_fractions() (which applies Allocation's
 /// normalization once) yields fractions bit-identical to the
-/// policy_allocation_masked() → Allocation construction chain — the two
-/// survivor-rebuild paths route identically.
+/// policy_allocation_masked() → Allocation construction chain, which
+/// stays as the reference the tests check this path against.
 void policy_fractions_masked_into(PolicyKind kind,
                                   const std::vector<double>& speeds,
                                   double rho,
@@ -103,21 +101,20 @@ void policy_fractions_masked_into(PolicyKind kind,
                                   std::vector<double>& fractions,
                                   MaskedReweightScratch& scratch);
 
-/// A survivor reweighter for FaultAwareDispatcher / CircuitBreaker
-/// (their Reweighter slots share this signature): computes the policy's
-/// masked fractions into the caller's buffer, allocation-free once its
-/// internal scratch is warm. One instance owns one scratch — share it
-/// across the decorators of a single dispatcher stack only.
-[[nodiscard]] std::function<void(const std::vector<bool>&,
-                                 std::vector<double>&)>
-policy_masked_reweighter(PolicyKind kind, std::vector<double> speeds,
-                         double rho, double rho_estimate_factor = 1.0);
+/// The survivor Reweighter for FaultAwareDispatcher and
+/// CircuitBreakerDispatcher: computes the policy's masked fractions into
+/// the caller's buffer, allocation-free once its internal scratch is
+/// warm. One instance owns one scratch — share it across the decorators
+/// of a single dispatcher stack only.
+[[nodiscard]] dispatch::Reweighter policy_masked_reweighter(
+    PolicyKind kind, std::vector<double> speeds, double rho,
+    double rho_estimate_factor = 1.0);
 
 /// Build a failure-aware dispatcher for the policy: the policy dispatcher
 /// wrapped in a dispatch::FaultAwareDispatcher that blacklists machines
-/// reported down. Static policies degrade by recomputing their allocation
-/// over the survivors (policy_allocation_masked); Least-Load masks its
-/// candidate set natively.
+/// reported down. Static policies degrade by re-weighting their
+/// allocation over the survivors in place (policy_masked_reweighter);
+/// Least-Load masks its candidate set natively.
 [[nodiscard]] std::unique_ptr<dispatch::Dispatcher>
 make_fault_aware_dispatcher(PolicyKind kind,
                             const std::vector<double>& speeds, double rho,
@@ -125,18 +122,13 @@ make_fault_aware_dispatcher(PolicyKind kind,
                             dispatch::SamplerKind sampler =
                                 dispatch::SamplerKind::kCdf);
 
-/// Thread-safe factory variant of make_fault_aware_dispatcher().
-[[nodiscard]] cluster::DispatcherFactory fault_aware_dispatcher_factory(
-    PolicyKind kind, std::vector<double> speeds, double rho,
-    double rho_estimate_factor = 1.0);
-
 /// Build a circuit-breaking dispatcher for the policy: the policy
 /// dispatcher wrapped in an overload::CircuitBreakerDispatcher that
 /// trips machines on consecutive dispatch rejections/losses. Static
-/// policies route around tripped machines by recomputing their
-/// allocation over the closed-breaker set (policy_allocation_masked —
-/// the same survivor-reallocation rebuild the fault decorator uses);
-/// Least-Load masks its candidate set natively.
+/// policies route around tripped machines by re-weighting their
+/// allocation over the closed-breaker set (the same survivor
+/// reallocation the fault decorator uses); Least-Load masks its
+/// candidate set natively.
 [[nodiscard]] std::unique_ptr<dispatch::Dispatcher>
 make_circuit_breaker_dispatcher(PolicyKind kind,
                                 const std::vector<double>& speeds,
@@ -145,24 +137,6 @@ make_circuit_breaker_dispatcher(PolicyKind kind,
                                 double rho_estimate_factor = 1.0,
                                 dispatch::SamplerKind sampler =
                                     dispatch::SamplerKind::kCdf);
-
-/// Thread-safe factory variant of make_circuit_breaker_dispatcher().
-[[nodiscard]] cluster::DispatcherFactory circuit_breaker_dispatcher_factory(
-    PolicyKind kind, std::vector<double> speeds, double rho,
-    overload::CircuitBreakerConfig breaker, double rho_estimate_factor = 1.0);
-
-/// Wrap any built dispatcher in a dispatch::HedgedDispatcher so the
-/// cluster harness re-issues stragglers to a second-choice machine
-/// (first completion wins; see docs/FAULT_MODEL.md §8). Composes with
-/// the fault-aware and circuit-breaker builders in any order.
-[[nodiscard]] std::unique_ptr<dispatch::Dispatcher> make_hedged_dispatcher(
-    std::unique_ptr<dispatch::Dispatcher> inner,
-    const dispatch::HedgingConfig& hedging);
-
-/// Thread-safe factory: the policy dispatcher wrapped for hedging.
-[[nodiscard]] cluster::DispatcherFactory hedged_dispatcher_factory(
-    PolicyKind kind, std::vector<double> speeds, double rho,
-    dispatch::HedgingConfig hedging, double rho_estimate_factor = 1.0);
 
 /// Build the governed adaptive variant of a static policy: a
 /// uncertainty::GovernedAdaptiveDispatcher seeded with the operator's
@@ -175,16 +149,9 @@ make_circuit_breaker_dispatcher(PolicyKind kind,
 /// adaptive loop changes weights, not mechanism. Must not be called for
 /// kLeastLoad, which has no allocation to adapt. The returned dispatcher
 /// masks natively, so FaultAwareDispatcher / CircuitBreakerDispatcher
-/// wrap it directly (no rebuilder needed).
+/// wrap it directly (no reweighter needed).
 [[nodiscard]] std::unique_ptr<dispatch::Dispatcher> make_adaptive_dispatcher(
     PolicyKind kind, const std::vector<double>& believed_speeds,
     double believed_rho, uncertainty::AdaptiveOptions options = {});
-
-/// Thread-safe factory variant of make_adaptive_dispatcher(). With
-/// `fault_aware`, each dispatcher is wrapped in a FaultAwareDispatcher
-/// (native masking) so crash reports blacklist machines.
-[[nodiscard]] cluster::DispatcherFactory adaptive_dispatcher_factory(
-    PolicyKind kind, std::vector<double> believed_speeds, double believed_rho,
-    uncertainty::AdaptiveOptions options = {}, bool fault_aware = false);
 
 }  // namespace hs::core

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -125,10 +126,10 @@ class Dispatcher {
   /// fractions (routing state is reset), but without allocating: the
   /// fraction-driven dispatchers (random, SWRR, smooth round-robin)
   /// override this to reuse their internal buffers, which is what lets
-  /// survivor rebuilds and adaptive re-allocations run allocation-free.
-  /// Returns true if the policy supports in-place reweighting; the
-  /// default returns false and leaves the dispatcher unchanged — callers
-  /// then fall back to reconstructing it.
+  /// survivor reallocations and adaptive re-allocations run
+  /// allocation-free. Returns true if the policy supports in-place
+  /// reweighting; the default returns false and leaves the dispatcher
+  /// unchanged.
   virtual bool rebuild_fractions(std::span<const double> fractions) {
     (void)fractions;
     return false;
@@ -137,8 +138,9 @@ class Dispatcher {
   /// Restrict routing to machines with available[i] == true (the fault
   /// layer's blacklist). Returns true if the policy supports masking
   /// natively (Least-Load, AdaptiveORR); the default returns false and
-  /// leaves routing unchanged — callers then rebuild the dispatcher over
-  /// the survivors instead (see FaultAwareDispatcher).
+  /// leaves routing unchanged — callers then re-weight the dispatcher
+  /// over the survivors instead, through a Reweighter and
+  /// rebuild_fractions() (see FaultAwareDispatcher).
   virtual bool set_available_mask(const std::vector<bool>& available) {
     (void)available;
     return false;
@@ -196,5 +198,13 @@ class Dispatcher {
     return 0;
   }
 };
+
+/// Survivor reallocation for a dispatcher that cannot mask natively:
+/// writes the allocation fractions for the machines with
+/// available[i] == true (zeros elsewhere) into its output buffer, which
+/// FaultAwareDispatcher and CircuitBreakerDispatcher then hand to the
+/// wrapped dispatcher's rebuild_fractions().
+using Reweighter =
+    std::function<void(const std::vector<bool>&, std::vector<double>&)>;
 
 }  // namespace hs::dispatch

@@ -6,23 +6,17 @@
 
 namespace hs::dispatch {
 
-FaultAwareDispatcher::FaultAwareDispatcher(std::unique_ptr<Dispatcher> inner)
-    : FaultAwareDispatcher(std::move(inner), Rebuilder{}) {}
-
 FaultAwareDispatcher::FaultAwareDispatcher(std::unique_ptr<Dispatcher> inner,
-                                           Rebuilder rebuilder,
                                            Reweighter reweighter)
-    : inner_(std::move(inner)),
-      rebuilder_(std::move(rebuilder)),
-      reweighter_(std::move(reweighter)) {
+    : inner_(std::move(inner)), reweighter_(std::move(reweighter)) {
   HS_CHECK(inner_ != nullptr, "fault-aware decorator needs a dispatcher");
   available_.assign(inner_->machine_count(), true);
   outer_mask_.assign(inner_->machine_count(), true);
   native_mask_ = inner_->set_available_mask(available_);
-  HS_CHECK(native_mask_ || rebuilder_,
+  HS_CHECK(native_mask_ || reweighter_,
            "inner dispatcher \""
                << inner_->name()
-               << "\" does not support masking and no rebuilder was given");
+               << "\" does not support masking and no reweighter was given");
 }
 
 size_t FaultAwareDispatcher::pick(rng::Xoshiro256& gen) {
@@ -44,24 +38,12 @@ void FaultAwareDispatcher::reset() {
   available_.assign(available_.size(), true);
   outer_mask_.assign(outer_mask_.size(), true);
   rebuilds_ = 0;
+  inner_->reset();
   if (native_mask_) {
-    inner_->reset();
     inner_->set_available_mask(available_);
-    return;
+  } else {
+    reweight(available_);  // full-availability fractions
   }
-  if (reweighter_) {
-    // In-place restore: full-availability fractions into the existing
-    // inner dispatcher (rebuild_fractions resets its routing state).
-    reweighter_(available_, fractions_scratch_);
-    inner_->reset();
-    if (inner_->rebuild_fractions(fractions_scratch_)) {
-      return;
-    }
-  }
-  // A fresh rebuild restores the full-availability routing state (the
-  // rebuilder returns dispatchers in their initial state).
-  inner_ = rebuilder_(available_);
-  HS_CHECK(inner_ != nullptr, "rebuilder returned null dispatcher");
 }
 
 std::string FaultAwareDispatcher::name() const {
@@ -140,23 +122,20 @@ void FaultAwareDispatcher::apply_mask() {
   }
   if (routable == 0) {
     // Every machine is believed down or masked from above: nothing
-    // useful to rebuild over. Keep the previous routing; dispatched jobs
-    // are lost and retried by the fault layer until a recovery report
-    // arrives.
+    // useful to re-weight over. Keep the previous routing; dispatched
+    // jobs are lost and retried by the fault layer until a recovery
+    // report arrives.
     return;
   }
-  if (reweighter_) {
-    // Allocation-free path: survivor fractions into the scratch buffer,
-    // then re-weight the live inner dispatcher in place.
-    reweighter_(effective_, fractions_scratch_);
-    if (inner_->rebuild_fractions(fractions_scratch_)) {
-      ++rebuilds_;
-      return;
-    }
-  }
-  inner_ = rebuilder_(effective_);
-  HS_CHECK(inner_ != nullptr, "rebuilder returned null dispatcher");
+  reweight(effective_);
   ++rebuilds_;
+}
+
+void FaultAwareDispatcher::reweight(const std::vector<bool>& mask) {
+  reweighter_(mask, fractions_scratch_);
+  const bool accepted = inner_->rebuild_fractions(fractions_scratch_);
+  HS_CHECK(accepted, "inner dispatcher \"" << inner_->name()
+                                           << "\" declined rebuild_fractions");
 }
 
 size_t FaultAwareDispatcher::save_state(std::vector<double>& out) const {
@@ -181,9 +160,9 @@ size_t FaultAwareDispatcher::restore_state(std::span<const double> state) {
   for (size_t i = 0; i < n; ++i) {
     available_[i] = state[i] == 1.0;
   }
-  // Re-derive the effective mask (rebuild mode may swap the inner
-  // dispatcher here) *before* restoring inner state, so the restored
-  // state lands in the dispatcher that will serve the next pick.
+  // Re-derive the effective mask *before* restoring inner state: a
+  // re-weight resets the inner routing state, so the restored state must
+  // land after it.
   apply_mask();
   return n + inner_->restore_state(state.subspan(n));
 }

@@ -9,22 +9,22 @@
 //    (Least-Load, AdaptiveORR expose set_available_mask). The decorator
 //    just forwards the mask; inner state (queue estimates, the ρ̂
 //    estimator) survives across fault transitions.
-//  * Rebuild — static allocation-based dispatchers (WRAN/ORAN/WRR/ORR)
-//    have no mask concept, so the caller supplies a Rebuilder that
-//    constructs a fresh inner dispatcher routing only to the available
-//    machines (e.g. the Algorithm-1 optimized allocation recomputed over
-//    the survivors — graceful ORR degradation). The decorator swaps the
-//    inner dispatcher on every fault transition.
+//  * Survivor reallocation — static allocation-based dispatchers
+//    (WRAN/ORAN/WRR/ORR) have no mask concept, so the caller supplies a
+//    Reweighter that computes the fractions over the available machines
+//    (e.g. the Algorithm-1 optimized allocation recomputed over the
+//    survivors — graceful ORR degradation). Every fault transition
+//    re-weights the inner dispatcher in place via rebuild_fractions().
 //
+// Either way the decorator owns one inner dispatcher for its whole life.
 // core::make_fault_aware_dispatcher() wires both modes for the paper's
 // policies; docs/FAULT_MODEL.md discusses the semantics.
 //
 // Threading: caller-serialized (dispatch/dispatcher.h) — picks forward
-// to the inner dispatcher, and fault reports can swap the inner
-// dispatcher wholesale (rebuild mode), so no call may overlap another.
+// to the inner dispatcher, and fault reports re-weight it, so no call
+// may overlap another.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "dispatch/dispatcher.h"
@@ -33,33 +33,13 @@ namespace hs::dispatch {
 
 class FaultAwareDispatcher final : public Dispatcher {
  public:
-  /// Builds a fresh dispatcher (over the full machine-index space) that
-  /// routes only to machines with available[i] == true. Called with an
-  /// all-true mask on reset. When every machine is down the decorator
-  /// does not call the rebuilder; it routes over the full set instead
-  /// (the jobs are lost either way, and the fault layer retries them).
-  using Rebuilder =
-      std::function<std::unique_ptr<Dispatcher>(const std::vector<bool>&)>;
-
-  /// Computes survivor allocation fractions (over the full machine-index
-  /// space, zeros for unavailable machines) into `fractions` — the
-  /// allocation-free fast path of rebuild mode. When supplied, fault
-  /// transitions re-weight the existing inner dispatcher in place via
-  /// Dispatcher::rebuild_fractions() instead of constructing a fresh one;
-  /// the Rebuilder remains the fallback (and the reset path for inner
-  /// dispatchers that decline in-place reweighting).
-  using Reweighter =
-      std::function<void(const std::vector<bool>&, std::vector<double>&)>;
-
-  /// Native-masking mode: `inner` must accept set_available_mask.
-  explicit FaultAwareDispatcher(std::unique_ptr<Dispatcher> inner);
-
-  /// Rebuild mode: `inner` is the full-availability dispatcher,
-  /// `rebuilder` produces replacements as machines fail and recover.
-  /// The optional `reweighter` upgrades fault transitions to in-place,
-  /// allocation-free reweights of the existing inner dispatcher.
-  FaultAwareDispatcher(std::unique_ptr<Dispatcher> inner,
-                       Rebuilder rebuilder, Reweighter reweighter = {});
+  /// Native masking when `inner` accepts set_available_mask; otherwise
+  /// `reweighter` is required and fault transitions re-weight `inner` in
+  /// place. When every machine is down the decorator keeps the previous
+  /// routing (the jobs are lost either way, and the fault layer retries
+  /// them).
+  explicit FaultAwareDispatcher(std::unique_ptr<Dispatcher> inner,
+                                Reweighter reweighter = {});
 
   [[nodiscard]] size_t pick(rng::Xoshiro256& gen) override;
   [[nodiscard]] size_t pick_sized(rng::Xoshiro256& gen,
@@ -95,7 +75,7 @@ class FaultAwareDispatcher final : public Dispatcher {
   /// with this decorator's own crash blacklist before being pushed down,
   /// so Hedged/FaultAware/CircuitBreaker compose in any order. Always
   /// returns true — the decorator absorbs the mask even when the inner
-  /// dispatcher needs the rebuilder.
+  /// dispatcher is re-weighted instead.
   bool set_available_mask(const std::vector<bool>& available) override;
 
   /// Checkpoint: this layer's crash blacklist (n flags), then the inner
@@ -109,21 +89,20 @@ class FaultAwareDispatcher final : public Dispatcher {
     return available_;
   }
   [[nodiscard]] size_t down_count() const;
-  /// Inner-dispatcher rebuilds since construction/reset (rebuild mode
-  /// only; native masking never rebuilds).
+  /// Inner-dispatcher re-weights since construction/reset (survivor
+  /// reallocation only; native masking never re-weights).
   [[nodiscard]] uint64_t rebuilds() const { return rebuilds_; }
   [[nodiscard]] const Dispatcher& inner() const { return *inner_; }
   /// Mutable access for decorator-aware wiring (e.g. handing a trace
-  /// sink to a wrapped adaptive dispatcher). Stable only in native-
-  /// masking mode — rebuild mode replaces the inner dispatcher on fault
-  /// transitions.
+  /// sink to a wrapped adaptive dispatcher).
   [[nodiscard]] Dispatcher& inner() { return *inner_; }
 
  private:
   void apply_mask();
+  /// Survivor fractions for `mask` into the inner dispatcher, in place.
+  void reweight(const std::vector<bool>& mask);
 
   std::unique_ptr<Dispatcher> inner_;
-  Rebuilder rebuilder_;
   Reweighter reweighter_;
   std::vector<bool> available_;
   std::vector<bool> outer_mask_;  // restriction imposed from above

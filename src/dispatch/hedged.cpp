@@ -72,6 +72,10 @@ bool HedgedDispatcher::uses_feedback() const {
   return inner_->uses_feedback();
 }
 
+bool HedgedDispatcher::rebuild_fractions(std::span<const double> fractions) {
+  return inner_->rebuild_fractions(fractions);
+}
+
 bool HedgedDispatcher::set_available_mask(
     const std::vector<bool>& available) {
   return inner_->set_available_mask(available);

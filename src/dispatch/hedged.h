@@ -21,8 +21,10 @@
 // hedge.
 //
 // Composes in any order with FaultAwareDispatcher and
-// CircuitBreakerDispatcher: every hook, including set_available_mask,
-// is forwarded verbatim.
+// CircuitBreakerDispatcher: every hook, including set_available_mask and
+// rebuild_fractions, is forwarded verbatim — so a decorator outside that
+// re-weights a static policy over the survivors reaches the policy
+// through this layer.
 //
 // Threading: caller-serialized (dispatch/dispatcher.h) — the decorator
 // adds only counters, but picks and counter updates forward into the
@@ -73,6 +75,7 @@ class HedgedDispatcher final : public Dispatcher {
   void on_load_report(size_t machine, uint64_t queue_length) override;
   [[nodiscard]] bool uses_feedback() const override;
 
+  bool rebuild_fractions(std::span<const double> fractions) override;
   bool set_available_mask(const std::vector<bool>& available) override;
   void on_dispatch_result(size_t machine, bool accepted, double now) override;
   [[nodiscard]] bool uses_overload_feedback() const override;

@@ -1,7 +1,7 @@
 #include "explore/hook.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 
 #include "util/check.h"
 
@@ -64,10 +64,7 @@ double ScheduleHook::on_double(cluster::ChoiceKind kind, uint32_t entity,
   if (bits == nullptr) {
     return drawn;
   }
-  double value = 0.0;
-  static_assert(sizeof(value) == sizeof(*bits));
-  std::memcpy(&value, bits, sizeof(value));
-  return value;
+  return std::bit_cast<double>(*bits);
 }
 
 std::vector<ScheduleHook::Site> ScheduleHook::sites() const {

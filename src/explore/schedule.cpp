@@ -1,13 +1,14 @@
 #include "explore/schedule.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <tuple>
 
 #include "util/atomic_file.h"
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace hs::explore {
@@ -20,41 +21,6 @@ constexpr char kMagic[8] = {'H', 'S', 'S', 'C', 'H', 'E', 'D', '1'};
 /// per-site consult counts); the cap keeps packed lookup keys unique and
 /// catches garbage from a corrupted file early.
 constexpr uint32_t kMaxField = 1u << 24;
-
-void append_varint(std::vector<uint8_t>& out, uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(value));
-}
-
-uint64_t read_varint(const uint8_t* data, size_t size, size_t& pos) {
-  uint64_t value = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    HS_CHECK(pos < size, "schedule truncated inside a varint");
-    const uint8_t byte = data[pos++];
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      return value;
-    }
-  }
-  HS_CHECK(false, "schedule varint longer than 64 bits");
-  return 0;  // unreachable
-}
-
-uint64_t double_to_bits(double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double bits_to_double(uint64_t bits) {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
 
 void validate_op(const Override& op, size_t index) {
   HS_CHECK(static_cast<uint8_t>(op.kind) <
@@ -96,10 +62,13 @@ Override Override::force_double(cluster::ChoiceKind kind, uint32_t entity,
                           << " does not take a double");
   HS_CHECK(std::isfinite(value) && value >= 0.0,
            "override value must be finite and >= 0, got " << value);
-  return Override{kind, entity, occurrence, double_to_bits(value)};
+  return Override{kind, entity, occurrence,
+                  std::bit_cast<uint64_t>(value)};
 }
 
-double Override::double_value() const { return bits_to_double(value_bits); }
+double Override::double_value() const {
+  return std::bit_cast<double>(value_bits);
+}
 
 std::string Override::describe() const {
   std::ostringstream out;
@@ -127,23 +96,21 @@ void Schedule::validate() const {
 
 std::vector<uint8_t> Schedule::encode() const {
   validate();
-  std::vector<uint8_t> out;
+  util::ByteWriter out;
   out.reserve(sizeof(kMagic) + 2 + ops.size() * 12);
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-  append_varint(out, ops.size());
+  out.bytes(kMagic, sizeof(kMagic));
+  out.varint(ops.size());
   for (const Override& op : ops) {
-    out.push_back(static_cast<uint8_t>(op.kind));
-    append_varint(out, op.entity);
-    append_varint(out, op.occurrence);
+    out.u8(static_cast<uint8_t>(op.kind));
+    out.varint(op.entity);
+    out.varint(op.occurrence);
     if (op.is_bool()) {
-      out.push_back(op.bool_value() ? 1 : 0);
+      out.u8(op.bool_value() ? 1 : 0);
     } else {
-      for (int shift = 0; shift < 64; shift += 8) {
-        out.push_back(static_cast<uint8_t>(op.value_bits >> shift));
-      }
+      out.u64(op.value_bits);
     }
   }
-  return out;
+  return out.take();
 }
 
 Schedule Schedule::decode(const uint8_t* data, size_t size) {
@@ -151,37 +118,28 @@ Schedule Schedule::decode(const uint8_t* data, size_t size) {
   HS_CHECK(size >= sizeof(kMagic) &&
                std::memcmp(data, kMagic, sizeof(kMagic)) == 0,
            "not an HSSCHED1 schedule (bad magic)");
-  size_t pos = sizeof(kMagic);
-  const uint64_t count = read_varint(data, size, pos);
+  util::ByteReader in({data, size}, "HSSCHED1 schedule");
+  (void)in.bytes(sizeof(kMagic));
+  const uint64_t count = in.varint();
   HS_CHECK(count <= size, "schedule op count " << count
                                                << " impossible for " << size
                                                << " bytes");
   Schedule schedule;
   schedule.ops.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    HS_CHECK(pos < size, "schedule truncated at op " << i);
     Override op;
-    op.kind = static_cast<cluster::ChoiceKind>(data[pos++]);
+    op.kind = static_cast<cluster::ChoiceKind>(in.u8());
     HS_CHECK(static_cast<uint8_t>(op.kind) <
                  static_cast<uint8_t>(cluster::ChoiceKind::kCount),
              "schedule op " << i << ": bad choice kind byte");
-    op.entity = static_cast<uint32_t>(read_varint(data, size, pos));
-    op.occurrence = static_cast<uint32_t>(read_varint(data, size, pos));
-    if (op.is_bool()) {
-      HS_CHECK(pos < size, "schedule truncated in op " << i << " value");
-      op.value_bits = data[pos++];
-    } else {
-      HS_CHECK(pos + 8 <= size, "schedule truncated in op " << i << " value");
-      uint64_t bits = 0;
-      for (int shift = 0; shift < 64; shift += 8) {
-        bits |= static_cast<uint64_t>(data[pos++]) << shift;
-      }
-      op.value_bits = bits;
-    }
+    op.entity = static_cast<uint32_t>(in.varint());
+    op.occurrence = static_cast<uint32_t>(in.varint());
+    op.value_bits = op.is_bool() ? in.u8() : in.u64();
     schedule.ops.push_back(op);
   }
-  HS_CHECK(pos == size,
-           "schedule has " << size - pos << " trailing bytes after op list");
+  HS_CHECK(in.remaining() == 0, "schedule has " << in.remaining()
+                                                << " trailing bytes after "
+                                                   "op list");
   schedule.validate();
   return schedule;
 }
@@ -196,12 +154,7 @@ void save_schedule(const Schedule& schedule, const std::string& path) {
 }
 
 Schedule load_schedule(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  HS_CHECK(in.good(), "cannot open schedule file: " << path);
-  std::vector<uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
-  HS_CHECK(!in.bad(), "cannot read schedule file: " << path);
-  return Schedule::decode(bytes);
+  return Schedule::decode(util::read_file(path));
 }
 
 }  // namespace hs::explore

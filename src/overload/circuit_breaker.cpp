@@ -32,33 +32,21 @@ const char* breaker_state_name(BreakerState state) {
 
 CircuitBreakerDispatcher::CircuitBreakerDispatcher(
     std::unique_ptr<dispatch::Dispatcher> inner,
-    const CircuitBreakerConfig& config)
-    : CircuitBreakerDispatcher(std::move(inner), config, Rebuilder{}) {}
-
-CircuitBreakerDispatcher::CircuitBreakerDispatcher(
-    std::unique_ptr<dispatch::Dispatcher> inner,
-    const CircuitBreakerConfig& config, Rebuilder rebuilder,
-    Reweighter reweighter)
-    : config_(config),
-      rebuilder_(std::move(rebuilder)),
+    const CircuitBreakerConfig& config, dispatch::Reweighter reweighter)
+    : inner_(std::move(inner)),
+      config_(config),
       reweighter_(std::move(reweighter)) {
   config_.validate();
-  init(std::move(inner));
-}
-
-void CircuitBreakerDispatcher::init(
-    std::unique_ptr<dispatch::Dispatcher> inner) {
-  inner_ = std::move(inner);
   HS_CHECK(inner_ != nullptr, "circuit breaker needs a dispatcher");
   breakers_.assign(inner_->machine_count(), Breaker{});
   routable_.assign(inner_->machine_count(), true);
   outer_mask_.assign(inner_->machine_count(), true);
   next_reopen_time_ = kNoReopen;
   native_mask_ = inner_->set_available_mask(routable_);
-  HS_CHECK(native_mask_ || rebuilder_,
+  HS_CHECK(native_mask_ || reweighter_,
            "inner dispatcher \""
                << inner_->name()
-               << "\" does not support masking and no rebuilder was given");
+               << "\" does not support masking and no reweighter was given");
 }
 
 size_t CircuitBreakerDispatcher::pick(rng::Xoshiro256& gen) {
@@ -87,22 +75,12 @@ void CircuitBreakerDispatcher::reset() {
   last_now_ = 0.0;
   trips_ = 0;
   rebuilds_ = 0;
+  inner_->reset();
   if (native_mask_) {
-    inner_->reset();
     inner_->set_available_mask(routable_);
-    return;
+  } else {
+    reweight(routable_);  // full-availability fractions
   }
-  if (reweighter_) {
-    // In-place restore: full-availability fractions into the existing
-    // inner dispatcher (rebuild_fractions resets its routing state).
-    reweighter_(routable_, fractions_scratch_);
-    inner_->reset();
-    if (inner_->rebuild_fractions(fractions_scratch_)) {
-      return;
-    }
-  }
-  inner_ = rebuilder_(routable_);
-  HS_CHECK(inner_ != nullptr, "rebuilder returned null dispatcher");
 }
 
 std::string CircuitBreakerDispatcher::name() const {
@@ -290,23 +268,20 @@ void CircuitBreakerDispatcher::apply_mask() {
   }
   if (usable == 0) {
     // Every breaker is open (or masked from above): nothing useful to
-    // rebuild over. Keep the previous routing — jobs fail fast and their
-    // outcomes drive the half-open probes (mirrors
+    // re-weight over. Keep the previous routing — jobs fail fast and
+    // their outcomes drive the half-open probes (mirrors
     // FaultAwareDispatcher's all-down case).
     return;
   }
-  if (reweighter_) {
-    // Allocation-free path: survivor fractions into the scratch buffer,
-    // then re-weight the live inner dispatcher in place.
-    reweighter_(effective_, fractions_scratch_);
-    if (inner_->rebuild_fractions(fractions_scratch_)) {
-      ++rebuilds_;
-      return;
-    }
-  }
-  inner_ = rebuilder_(effective_);
-  HS_CHECK(inner_ != nullptr, "rebuilder returned null dispatcher");
+  reweight(effective_);
   ++rebuilds_;
+}
+
+void CircuitBreakerDispatcher::reweight(const std::vector<bool>& mask) {
+  reweighter_(mask, fractions_scratch_);
+  const bool accepted = inner_->rebuild_fractions(fractions_scratch_);
+  HS_CHECK(accepted, "inner dispatcher \"" << inner_->name()
+                                           << "\" declined rebuild_fractions");
 }
 
 BreakerState CircuitBreakerDispatcher::state(size_t machine) const {
@@ -370,9 +345,9 @@ size_t CircuitBreakerDispatcher::restore_state(std::span<const double> state) {
   }
   next_reopen_time_ = state[4 * n];
   last_now_ = state[4 * n + 1];
-  // Re-derive the routing mask (rebuild mode may swap the inner
-  // dispatcher here) *before* restoring inner state, so the restored
-  // state lands in the dispatcher that will serve the next pick.
+  // Re-derive the routing mask *before* restoring inner state: a
+  // re-weight resets the inner routing state, so the restored state must
+  // land after it.
   apply_mask();
   return own + inner_->restore_state(state.subspan(own));
 }

@@ -7,7 +7,7 @@
 // reported) jobs trips its breaker Open after `trip_threshold`
 // consecutive failures and is routed around, using the same two
 // composition modes as the fault decorator — native masking for
-// Least-Load-style dispatchers, survivor-reallocation Rebuilder for the
+// Least-Load-style dispatchers, an in-place survivor Reweighter for the
 // static paper policies. After `cooldown` simulated seconds an Open
 // breaker Half-Opens: the machine rejoins the routing set, and
 // `probe_successes` consecutive accepted jobs close the breaker while a
@@ -23,12 +23,11 @@
 // When every breaker is open the decorator keeps the previous routing —
 // jobs fail fast and feed the half-open probes (mirrors the fault
 // decorator's all-down behavior). core::make_circuit_breaker_dispatcher
-// wires the rebuilder for the paper's policies; docs/FAULT_MODEL.md §6
+// wires the reweighter for the paper's policies; docs/FAULT_MODEL.md §6
 // discusses the semantics.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -55,30 +54,12 @@ enum class BreakerState : uint8_t { kClosed, kOpen, kHalfOpen };
 
 class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
  public:
-  /// Builds a fresh dispatcher routing only to machines with
-  /// available[i] == true (same contract as FaultAwareDispatcher's
-  /// Rebuilder; with every breaker open it is not called).
-  using Rebuilder = std::function<std::unique_ptr<dispatch::Dispatcher>(
-      const std::vector<bool>&)>;
-
-  /// Computes survivor allocation fractions into its output buffer (same
-  /// contract as FaultAwareDispatcher::Reweighter): when supplied, trips
-  /// and closes re-weight the existing inner dispatcher in place via
-  /// Dispatcher::rebuild_fractions() — allocation-free — with the
-  /// Rebuilder as fallback.
-  using Reweighter =
-      std::function<void(const std::vector<bool>&, std::vector<double>&)>;
-
-  /// Native-masking mode: `inner` must accept set_available_mask.
-  CircuitBreakerDispatcher(std::unique_ptr<dispatch::Dispatcher> inner,
-                           const CircuitBreakerConfig& config);
-
-  /// Rebuild mode: `rebuilder` produces replacements as breakers trip
-  /// and close. The optional `reweighter` upgrades those transitions to
-  /// in-place, allocation-free reweights of the existing inner.
+  /// Native masking when `inner` accepts set_available_mask; otherwise
+  /// `reweighter` is required (same contract as FaultAwareDispatcher)
+  /// and trips and closes re-weight `inner` in place.
   CircuitBreakerDispatcher(std::unique_ptr<dispatch::Dispatcher> inner,
                            const CircuitBreakerConfig& config,
-                           Rebuilder rebuilder, Reweighter reweighter = {});
+                           dispatch::Reweighter reweighter = {});
 
   [[nodiscard]] size_t pick(rng::Xoshiro256& gen) override;
   [[nodiscard]] size_t pick_sized(rng::Xoshiro256& gen,
@@ -114,7 +95,7 @@ class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
   /// breaker's own routable set before being pushed down, so
   /// Hedged/FaultAware/CircuitBreaker compose in any order. Always
   /// returns true — the decorator absorbs the mask even when the inner
-  /// dispatcher needs the rebuilder.
+  /// dispatcher is re-weighted instead.
   bool set_available_mask(const std::vector<bool>& available) override;
 
   /// Attach a trace sink for kBreakerOpen/kBreakerHalfOpen/kBreakerClose
@@ -131,10 +112,11 @@ class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
   [[nodiscard]] size_t open_count() const;
   /// Breaker trips (Closed/Half-Open → Open) since construction/reset.
   [[nodiscard]] uint64_t trips() const { return trips_; }
+  /// Inner-dispatcher re-weights since construction/reset (survivor
+  /// reallocation only).
   [[nodiscard]] uint64_t rebuilds() const { return rebuilds_; }
   [[nodiscard]] const dispatch::Dispatcher& inner() const { return *inner_; }
-  /// Mutable access for decorator-aware wiring; stable only in native-
-  /// masking mode (rebuild mode replaces the inner dispatcher).
+  /// Mutable access for decorator-aware wiring.
   [[nodiscard]] dispatch::Dispatcher& inner() { return *inner_; }
 
  private:
@@ -145,16 +127,16 @@ class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
     double reopen_at = 0.0;  // when an Open breaker may Half-Open
   };
 
-  void init(std::unique_ptr<dispatch::Dispatcher> inner);
   void trip(size_t machine, double now);
   void transition(size_t machine, BreakerState to, double now);
   void apply_mask();
+  /// Survivor fractions for `mask` into the inner dispatcher, in place.
+  void reweight(const std::vector<bool>& mask);
   void maybe_half_open(double now);
 
   std::unique_ptr<dispatch::Dispatcher> inner_;
   CircuitBreakerConfig config_;
-  Rebuilder rebuilder_;
-  Reweighter reweighter_;
+  dispatch::Reweighter reweighter_;
   std::vector<Breaker> breakers_;
   std::vector<bool> routable_;    // state != kOpen
   std::vector<bool> outer_mask_;  // restriction imposed from above

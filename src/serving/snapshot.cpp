@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstring>
-#include <fstream>
 
 #include "util/atomic_file.h"
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace hs::serving {
@@ -21,71 +21,6 @@ constexpr size_t kHealthRecordBytes = 4 + 4 + 8 + 8 + 8 + 8;
 constexpr uint32_t kMaxMachines = 1u << 24;
 constexpr uint32_t kMaxPolicyName = 4096;
 
-void put_u32(std::vector<char>& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.insert(out.end(), buf, buf + 4);
-}
-
-void put_u64(std::vector<char>& out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.insert(out.end(), buf, buf + 8);
-}
-
-void put_f64(std::vector<char>& out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.insert(out.end(), buf, buf + 8);
-}
-
-uint32_t get_u32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-uint64_t get_u64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-double get_f64(const char* p) {
-  double v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-/// Cursor over the loaded byte buffer; every read is bounds-checked so
-/// a lying length field fails with CheckError instead of reading past
-/// the end.
-class Reader {
- public:
-  Reader(const char* data, size_t size, const std::string& path)
-      : data_(data), size_(size), path_(path) {}
-
-  const char* take(size_t n) {
-    HS_CHECK(n <= size_ - pos_,
-             "snapshot truncated: need " << n << " more bytes at offset "
-                                         << pos_ << ": " << path_);
-    const char* p = data_ + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  uint32_t u32() { return get_u32(take(4)); }
-  uint64_t u64() { return get_u64(take(8)); }
-  double f64() { return get_f64(take(8)); }
-  [[nodiscard]] size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  const std::string& path_;
-};
-
 }  // namespace
 
 void save_snapshot_binary(const std::string& path,
@@ -101,64 +36,59 @@ void save_snapshot_binary(const std::string& path,
   HS_CHECK(snapshot.policy.size() <= kMaxPolicyName,
            "snapshot policy name too long: " << snapshot.policy.size());
 
-  std::vector<char> out;
+  util::ByteWriter out;
   out.reserve(kHeaderBytes + snapshot.policy.size() +
               8 + 8 * snapshot.policy_state.size() + 4 * machines +
               kHealthRecordBytes * snapshot.health.size() + 16);
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-  put_u32(out, kVersion);
-  put_u32(out, static_cast<uint32_t>(machines));
-  put_u64(out, snapshot.seed);
-  put_u64(out, snapshot.captured_unix_nanos);
-  put_u64(out, snapshot.acquired);
-  put_u64(out, snapshot.released);
-  put_u64(out, snapshot.timeouts);
-  put_f64(out, snapshot.session_time);
+  out.bytes(kMagic, sizeof(kMagic));
+  out.u32(kVersion);
+  out.u32(static_cast<uint32_t>(machines));
+  out.u64(snapshot.seed);
+  out.u64(snapshot.captured_unix_nanos);
+  out.u64(snapshot.acquired);
+  out.u64(snapshot.released);
+  out.u64(snapshot.timeouts);
+  out.f64(snapshot.session_time);
   for (uint64_t word : snapshot.rng_state) {
-    put_u64(out, word);
+    out.u64(word);
   }
 
   // Variable sections, each length-prefixed.
-  put_u64(out, snapshot.sheds);
-  put_u32(out, static_cast<uint32_t>(snapshot.policy.size()));
-  out.insert(out.end(), snapshot.policy.begin(), snapshot.policy.end());
-  put_u64(out, snapshot.policy_state.size());
+  out.u64(snapshot.sheds);
+  out.u32(static_cast<uint32_t>(snapshot.policy.size()));
+  out.bytes(snapshot.policy.data(), snapshot.policy.size());
+  out.u64(snapshot.policy_state.size());
   for (double v : snapshot.policy_state) {
-    put_f64(out, v);
+    out.f64(v);
   }
   for (uint32_t count : snapshot.outstanding) {
-    put_u32(out, count);
+    out.u32(count);
   }
-  put_u32(out, snapshot.health.empty() ? 0u : 1u);
+  out.u32(snapshot.health.empty() ? 0u : 1u);
   for (const MachineHealthRecord& rec : snapshot.health) {
-    put_u32(out, rec.state);
-    put_u32(out, rec.consecutive_failures);
-    put_f64(out, rec.suspected_at);
-    put_f64(out, rec.last_heartbeat);
-    put_f64(out, rec.heartbeat_mean);
-    put_u64(out, rec.heartbeats);
+    out.u32(rec.state);
+    out.u32(rec.consecutive_failures);
+    out.f64(rec.suspected_at);
+    out.f64(rec.last_heartbeat);
+    out.f64(rec.heartbeat_mean);
+    out.u64(rec.heartbeats);
   }
 
   // Atomic publish (temp + fsync + rename), same discipline as the
   // HSTRACE1 writer: a crash mid-save never leaves a torn snapshot.
-  util::write_file_atomic(path, out.data(), out.size());
+  const std::vector<uint8_t> bytes = out.take();
+  util::write_file_atomic(path, bytes.data(), bytes.size());
 }
 
 ServingSnapshot load_snapshot_binary(const std::string& path) {
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
-  HS_CHECK(file.good(), "cannot open snapshot file: " << path);
-  const auto file_size = static_cast<size_t>(file.tellg());
-  HS_CHECK(file_size >= kHeaderBytes,
-           "snapshot file too short (" << file_size << " bytes): " << path);
-  file.seekg(0);
-  std::vector<char> bytes(file_size);
-  file.read(bytes.data(), static_cast<std::streamsize>(file_size));
-  HS_CHECK(file.good(), "read failed for snapshot file: " << path);
-
-  HS_CHECK(std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0,
+  const std::vector<uint8_t> bytes = util::read_file(path);
+  HS_CHECK(bytes.size() >= kHeaderBytes,
+           "snapshot file too short (" << bytes.size() << " bytes): "
+                                       << path);
+  util::ByteReader in(bytes, path);
+  HS_CHECK(std::memcmp(in.bytes(sizeof(kMagic)).data(), kMagic,
+                       sizeof(kMagic)) == 0,
            "bad magic — not a hetsched snapshot file: " << path);
-  Reader in(bytes.data(), file_size, path);
-  in.take(8);  // magic, already checked
   const uint32_t version = in.u32();
   HS_CHECK(version == kVersion, "unsupported snapshot format version "
                                     << version << " in " << path);
@@ -190,8 +120,8 @@ ServingSnapshot load_snapshot_binary(const std::string& path) {
   HS_CHECK(name_len <= kMaxPolicyName,
            "snapshot policy name length corrupt: " << name_len << " in "
                                                    << path);
-  const char* name = in.take(name_len);
-  snap.policy.assign(name, name_len);
+  const std::span<const uint8_t> name = in.bytes(name_len);
+  snap.policy.assign(name.begin(), name.end());
 
   const uint64_t state_len = in.u64();
   // Each value is 8 bytes, so the remaining byte count bounds the

@@ -1,10 +1,10 @@
 #include "serving/trace_io.h"
 
 #include <cstring>
-#include <fstream>
 #include <vector>
 
 #include "util/atomic_file.h"
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace hs::serving {
@@ -16,100 +16,61 @@ constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderBytes = 40;
 constexpr size_t kRecordBytes = 16;  // f64 arrival_time + f64 size
 
-void put_u32(std::vector<char>& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.insert(out.end(), buf, buf + 4);
-}
-
-void put_u64(std::vector<char>& out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.insert(out.end(), buf, buf + 8);
-}
-
-void put_f64(std::vector<char>& out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.insert(out.end(), buf, buf + 8);
-}
-
-uint32_t get_u32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-uint64_t get_u64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-double get_f64(const char* p) {
-  double v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
 }  // namespace
 
 void save_trace_binary(const std::string& path,
                        const RecordedTrace& recorded) {
   const auto& jobs = recorded.trace.jobs();
-  std::vector<char> out;
+  util::ByteWriter out;
   out.reserve(kHeaderBytes + kRecordBytes * jobs.size());
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-  put_u32(out, kVersion);
-  put_u32(out, 0);  // reserved
-  put_u64(out, recorded.seed);
-  put_u64(out, recorded.recorded_unix_nanos);
-  put_u64(out, jobs.size());
+  out.bytes(kMagic, sizeof(kMagic));
+  out.u32(kVersion);
+  out.u32(0);  // reserved
+  out.u64(recorded.seed);
+  out.u64(recorded.recorded_unix_nanos);
+  out.u64(jobs.size());
   for (const auto& job : jobs) {
-    put_f64(out, job.arrival_time);
-    put_f64(out, job.size);
+    out.f64(job.arrival_time);
+    out.f64(job.size);
   }
 
   // Atomic publish (temp + fsync + rename): a crash mid-save leaves
   // either the previous file or the complete new one, never a torn mix.
-  util::write_file_atomic(path, out.data(), out.size());
+  const std::vector<uint8_t> bytes = out.take();
+  util::write_file_atomic(path, bytes.data(), bytes.size());
 }
 
 RecordedTrace load_trace_binary(const std::string& path) {
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
-  HS_CHECK(file.good(), "cannot open trace file: " << path);
-  const auto file_size = static_cast<size_t>(file.tellg());
-  HS_CHECK(file_size >= kHeaderBytes,
-           "trace file too short (" << file_size << " bytes): " << path);
-  file.seekg(0);
-  std::vector<char> bytes(file_size);
-  file.read(bytes.data(), static_cast<std::streamsize>(file_size));
-  HS_CHECK(file.good(), "read failed for trace file: " << path);
-
-  HS_CHECK(std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0,
+  const std::vector<uint8_t> bytes = util::read_file(path);
+  HS_CHECK(bytes.size() >= kHeaderBytes,
+           "trace file too short (" << bytes.size() << " bytes): " << path);
+  util::ByteReader in(bytes, path);
+  HS_CHECK(std::memcmp(in.bytes(sizeof(kMagic)).data(), kMagic,
+                       sizeof(kMagic)) == 0,
            "bad magic — not a hetsched trace file: " << path);
-  const uint32_t version = get_u32(bytes.data() + 8);
+  const uint32_t version = in.u32();
   HS_CHECK(version == kVersion, "unsupported trace format version "
                                     << version << " in " << path);
+  (void)in.u32();  // reserved
   RecordedTrace recorded;
-  recorded.seed = get_u64(bytes.data() + 16);
-  recorded.recorded_unix_nanos = get_u64(bytes.data() + 24);
-  const uint64_t count = get_u64(bytes.data() + 32);
+  recorded.seed = in.u64();
+  recorded.recorded_unix_nanos = in.u64();
+  const uint64_t count = in.u64();
   // Bound first so the length identity below cannot wrap on a corrupt
   // (astronomical) count before it is compared.
-  HS_CHECK(count <= (file_size - kHeaderBytes) / kRecordBytes,
+  HS_CHECK(count <= in.remaining() / kRecordBytes,
            "trace header claims more records than the file could hold: "
                << count << " in " << path);
-  HS_CHECK(file_size == kHeaderBytes + kRecordBytes * count,
+  HS_CHECK(in.remaining() == kRecordBytes * count,
            "trace payload length mismatch: header claims "
                << count << " records but file holds "
-               << (file_size - kHeaderBytes) / kRecordBytes << ": " << path);
+               << in.remaining() / kRecordBytes << ": " << path);
 
   std::vector<queueing::Job> jobs;
   jobs.reserve(count);
-  const char* p = bytes.data() + kHeaderBytes;
-  for (uint64_t i = 0; i < count; ++i, p += kRecordBytes) {
-    jobs.push_back(queueing::Job{i, get_f64(p), get_f64(p + 8)});
+  for (uint64_t i = 0; i < count; ++i) {
+    const double arrival_time = in.f64();
+    jobs.push_back(queueing::Job{i, arrival_time, in.f64()});
   }
   // JobTrace's constructor re-validates ordering and positivity, so a
   // corrupted payload that passes the length check still fails loudly.

@@ -9,8 +9,9 @@
 //    rate (arrivals per second). Both the event count and the elapsed
 //    time are discounted with exp(−Δt/τ), which avoids the length-bias
 //    of averaging interarrival gaps directly and tracks drifting rates
-//    with a memory of roughly τ seconds (the same scheme as
-//    core::UtilizationEstimator, factored here for reuse on any stream).
+//    with a memory of roughly τ seconds. It is the one arrival-rate
+//    estimator: the governed adaptive dispatcher and
+//    core::AdaptiveOrrDispatcher both use it.
 //  * ServiceRateEstimator — per-machine believed speed ŝᵢ from the
 //    *work* completed while busy: a PS machine of speed s processes s
 //    base-speed seconds of work per busy second regardless of how many
@@ -25,15 +26,17 @@
 //    job whose service time exceeds the decay memory credits its whole
 //    work in one lump after the busy time it consumed has already
 //    decayed, inflating the ratio by ~(service time / τ); machine
-//    speeds do not drift in this model, so an unwindowed ratio is both
-//    unbiased and the lowest-variance choice. Busy time is inferred
-//    from the scheduler's own outstanding-dispatch count (sent minus
-//    reported-departed), which is exactly the information a real
-//    front-end has.
+//    speeds do not drift in this model, so an unwindowed ratio is the
+//    lowest-variance choice. Busy time is inferred from the scheduler's
+//    own outstanding-dispatch count (sent minus reported-departed),
+//    which is exactly the information a real front-end has.
 //
-// Estimates respect whatever delay the feedback path imposes: they are
-// fed the *report* times, not the true departure times, so detection
-// delay shows up as estimation lag rather than being quietly bypassed.
+// Estimates are fed the *report* times, not the true departure times.
+// For ŝ that is a bias, not just a lag: busy time runs until the last
+// report arrives, so every busy period is stretched by the report delay
+// while the credited work is not, and ŝ reads low — the lower, the
+// shorter the jobs are relative to the delay (docs/UNCERTAINTY.md §2.2).
+// With immediate reports the ratio is exact.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +58,8 @@ class RateEstimator {
   [[nodiscard]] double rate(double fallback = 0.0) const;
   [[nodiscard]] bool warmed_up() const { return count_ >= warmup_; }
   [[nodiscard]] uint64_t observed() const { return count_; }
+  /// Time of the latest event (0 before the first).
+  [[nodiscard]] double last_event() const { return last_event_; }
 
   void reset();
 

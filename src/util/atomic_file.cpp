@@ -1,6 +1,7 @@
 #include "util/atomic_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -123,6 +124,30 @@ void write_file_atomic(const std::string& path, const void* data,
     ::fsync(dfd);
     ::close(dfd);
   }
+}
+
+std::vector<uint8_t> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  HS_CHECK(fd >= 0, "cannot open file for reading: "
+                        << path << " (" << std::strerror(errno) << ")");
+  // A directory opens fine and then fails every read, so anything but a
+  // regular file is rejected before its size is trusted.
+  struct stat info {};
+  const bool regular = ::fstat(fd, &info) == 0 && S_ISREG(info.st_mode);
+  std::vector<uint8_t> bytes(regular ? static_cast<size_t>(info.st_size) : 0);
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
+    if (n > 0) {
+      done += static_cast<size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      break;  // the file shrank, or an I/O error
+    }
+  }
+  ::close(fd);
+  HS_CHECK(regular, "not a regular file: " << path);
+  HS_CHECK(done == bytes.size(), "cannot read file: " << path);
+  return bytes;
 }
 
 }  // namespace hs::util

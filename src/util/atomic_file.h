@@ -9,12 +9,15 @@
 // target (atomic within a filesystem), and finally fsync the directory
 // so the new name itself survives a power cut. A reader therefore sees
 // either the complete old file or the complete new file, never a mix —
-// the property the HSTRACE1/HSSNAP1 persistence layers (serving/) rely
-// on for "a crash mid-write never leaves a torn file".
+// the property the HSTRACE1/HSSNAP1/HSSCHED1 persistence layers rely on
+// for "a crash mid-write never leaves a torn file". read_file() is the
+// matching loader.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace hs::util {
 
@@ -26,6 +29,11 @@ namespace hs::util {
 /// unlinked best-effort before throwing).
 void write_file_atomic(const std::string& path, const void* data,
                        size_t size);
+
+/// The whole content of the regular file at `path`. Throws
+/// util::CheckError on any I/O failure, including a path that opens but
+/// is not a regular file (a directory).
+[[nodiscard]] std::vector<uint8_t> read_file(const std::string& path);
 
 namespace testing {
 

@@ -15,78 +15,6 @@ namespace {
 
 using hs::core::AdaptiveOrrDispatcher;
 using hs::core::AdaptiveOrrOptions;
-using hs::core::UtilizationEstimator;
-
-TEST(UtilizationEstimator, FallbackBeforeWarmup) {
-  UtilizationEstimator est(1.0, 4.0, 100.0);
-  EXPECT_DOUBLE_EQ(est.estimate(0.42), 0.42);
-  est.observe_arrival(1.0);
-  EXPECT_DOUBLE_EQ(est.estimate(0.42), 0.42);
-  EXPECT_EQ(est.arrival_rate(), 0.0);
-}
-
-TEST(UtilizationEstimator, ConvergesOnSteadyStream) {
-  // mean size 2, total speed 8, arrivals every 0.5 s => λ=2,
-  // ρ = 2·2/8 = 0.5.
-  UtilizationEstimator est(2.0, 8.0, 50.0);
-  for (int i = 0; i < 2000; ++i) {
-    est.observe_arrival(0.5 * i);
-  }
-  EXPECT_NEAR(est.arrival_rate(), 2.0, 0.01);
-  EXPECT_NEAR(est.estimate(), 0.5, 0.01);
-}
-
-TEST(UtilizationEstimator, ConvergesOnPoissonStream) {
-  UtilizationEstimator est(1.0, 10.0, 500.0);
-  hs::rng::Xoshiro256 gen(7);
-  hs::rng::Exponential gaps(4.0);  // λ = 4 ⇒ ρ = 0.4
-  double t = 0.0;
-  for (int i = 0; i < 100000; ++i) {
-    t += gaps.sample(gen);
-    est.observe_arrival(t);
-  }
-  EXPECT_NEAR(est.estimate(), 0.4, 0.03);
-}
-
-TEST(UtilizationEstimator, TracksLoadDrift) {
-  UtilizationEstimator est(1.0, 4.0, 200.0);
-  double t = 0.0;
-  // Phase 1: λ = 1 (ρ = 0.25).
-  for (int i = 0; i < 2000; ++i) {
-    t += 1.0;
-    est.observe_arrival(t);
-  }
-  EXPECT_NEAR(est.estimate(), 0.25, 0.02);
-  // Phase 2: λ = 3 (ρ = 0.75); after several time constants the
-  // estimate must have moved to the new level.
-  for (int i = 0; i < 6000; ++i) {
-    t += 1.0 / 3.0;
-    est.observe_arrival(t);
-  }
-  EXPECT_NEAR(est.estimate(), 0.75, 0.05);
-}
-
-TEST(UtilizationEstimator, ResetForgetsHistory) {
-  UtilizationEstimator est(1.0, 1.0, 10.0);
-  for (int i = 0; i < 100; ++i) {
-    est.observe_arrival(i * 0.1);
-  }
-  est.reset();
-  EXPECT_EQ(est.observed_arrivals(), 0u);
-  EXPECT_DOUBLE_EQ(est.estimate(0.3), 0.3);
-}
-
-TEST(UtilizationEstimator, RejectsTimeGoingBackwards) {
-  UtilizationEstimator est(1.0, 1.0, 10.0);
-  est.observe_arrival(5.0);
-  EXPECT_THROW((void)(est.observe_arrival(4.0)), hs::util::CheckError);
-}
-
-TEST(UtilizationEstimator, InvalidConstructionThrows) {
-  EXPECT_THROW((void)(UtilizationEstimator(0.0, 1.0, 1.0)), hs::util::CheckError);
-  EXPECT_THROW((void)(UtilizationEstimator(1.0, 0.0, 1.0)), hs::util::CheckError);
-  EXPECT_THROW((void)(UtilizationEstimator(1.0, 1.0, 0.0)), hs::util::CheckError);
-}
 
 // --------------------------------------------------------- AdaptiveOrr
 
@@ -141,7 +69,26 @@ TEST(AdaptiveOrr, ResetRestoresInitialState) {
   d.reset();
   EXPECT_EQ(d.recomputations(), 0u);
   EXPECT_NEAR(d.assumed_rho(), 0.5 * 1.05, 1e-12);
-  EXPECT_EQ(d.estimator().observed_arrivals(), 0u);
+  EXPECT_EQ(d.estimator().observed(), 0u);
+}
+
+TEST(AdaptiveOrr, RejectsTimeGoingBackwards) {
+  AdaptiveOrrDispatcher d({1.0, 2.0}, fast_options());
+  d.on_arrival(5.0);
+  EXPECT_THROW(d.on_arrival(4.0), hs::util::CheckError);
+}
+
+TEST(AdaptiveOrr, InvalidConstructionThrows) {
+  EXPECT_THROW((void)AdaptiveOrrDispatcher({}, fast_options()),
+               hs::util::CheckError);
+  AdaptiveOrrOptions options = fast_options();
+  options.mean_job_size = 0.0;
+  EXPECT_THROW((void)AdaptiveOrrDispatcher({1.0, 2.0}, options),
+               hs::util::CheckError);
+  options = fast_options();
+  options.time_constant = 0.0;
+  EXPECT_THROW((void)AdaptiveOrrDispatcher({1.0, 2.0}, options),
+               hs::util::CheckError);
 }
 
 TEST(AdaptiveOrr, EndToEndMatchesOracleOrr) {

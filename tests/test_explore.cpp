@@ -23,6 +23,7 @@
 #include "explore/shrink.h"
 #include "obs/observer.h"
 #include "obs/trace.h"
+#include "util/atomic_file.h"
 #include "util/check.h"
 
 namespace {
@@ -78,6 +79,16 @@ TEST(ScheduleFormat, RoundTripsGnarlyDoublesBitExactly) {
 TEST(ScheduleFormat, EmptyScheduleRoundTrips) {
   const std::vector<uint8_t> bytes = Schedule{}.encode();
   EXPECT_TRUE(Schedule::decode(bytes).empty());
+}
+
+TEST(ScheduleFormat, CommittedReproReencodesToTheSameBytes) {
+  // Format pin: the committed repro decodes, and encoding the result
+  // gives back the file's exact bytes.
+  const std::vector<uint8_t> bytes = hs::util::read_file(
+      std::string(HS_REPRO_DIR) + "/drop_leak_conservation.hssched");
+  const Schedule repro = Schedule::decode(bytes);
+  EXPECT_FALSE(repro.empty());
+  EXPECT_EQ(repro.encode(), bytes);
 }
 
 TEST(ScheduleFormat, RejectsMalformedBytes) {

@@ -309,12 +309,12 @@ TEST(FaultSim, AdaptiveOrrEstimatorSurvivesCrash) {
   hs::dispatch::FaultAwareDispatcher aware(std::move(adaptive));
   const auto result = run_simulation(config, aware);
   EXPECT_GT(result.completed_jobs, 5000u);
-  EXPECT_GT(raw->estimator().observed_arrivals(), 1000u);
+  EXPECT_GT(raw->estimator().observed(), 1000u);
   EXPECT_GE(raw->assumed_rho(), 0.02);
   EXPECT_LE(raw->assumed_rho(), 0.98);
   // The estimate itself reflects the true system load, not the
   // degraded survivor load.
-  EXPECT_NEAR(raw->estimator().estimate(), 0.6, 0.15);
+  EXPECT_NEAR(raw->estimated_rho(0.5), 0.6, 0.15);
 }
 
 TEST(FaultSim, FailureAwareOrrBeatsObliviousOrr) {

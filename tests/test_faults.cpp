@@ -2,16 +2,20 @@
 // expansion, server eviction, and failure-aware dispatching.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "alloc/allocation.h"
 #include "cluster/faults.h"
 #include "core/adaptive.h"
 #include "core/policy.h"
 #include "dispatch/fault_aware.h"
 #include "dispatch/least_load.h"
+#include "dispatch/random_dispatcher.h"
 #include "dispatch/smooth_rr.h"
 #include "queueing/fcfs_server.h"
 #include "queueing/ps_server.h"
@@ -359,9 +363,9 @@ TEST(LeastLoadMask, AllDownFallsBackToAllMachines) {
 
 TEST(AdaptiveMask, MaskedMachineGetsZeroAllocation) {
   AdaptiveOrrDispatcher d({1.0, 1.0, 4.0});
-  const uint64_t arrivals_before = d.estimator().observed_arrivals();
+  const uint64_t arrivals_before = d.estimator().observed();
   EXPECT_TRUE(d.set_available_mask({true, false, true}));
-  EXPECT_EQ(d.estimator().observed_arrivals(), arrivals_before);
+  EXPECT_EQ(d.estimator().observed(), arrivals_before);
   const auto& fractions = d.allocation().fractions();
   ASSERT_EQ(fractions.size(), 3u);
   EXPECT_EQ(fractions[1], 0.0);
@@ -421,6 +425,87 @@ TEST(MaskedAllocation, HighLoadClampDoesNotThrow)
         PolicyKind::kORR, speeds, 0.9, {true, false, false});
     EXPECT_DOUBLE_EQ(masked[0], 1.0);
   });
+}
+
+// ---- Survivor reallocation: the in-place path against its reference ----
+//
+// policy_allocation_masked() is the reference; the decorators re-weight
+// in place through policy_fractions_masked_into(). Both must agree bit
+// for bit on every mask of a 5-machine cluster, and a stack re-weighted
+// in place must route exactly like a dispatcher built fresh over the
+// reference allocation.
+
+const std::vector<double> kFiveSpeeds = {1.0, 2.0, 3.0, 5.0, 8.0};
+
+std::vector<bool> mask_of(uint32_t bits) {
+  std::vector<bool> mask(kFiveSpeeds.size());
+  for (size_t i = 0; i < mask.size(); ++i) {
+    mask[i] = ((bits >> i) & 1u) != 0;
+  }
+  return mask;
+}
+
+TEST(MaskedAllocation, InPlaceFractionsMatchReferenceBitForBit) {
+  hs::core::MaskedReweightScratch scratch;
+  std::vector<double> fractions;
+  for (const PolicyKind kind : hs::core::static_policies()) {
+    for (const double rho : {0.3, 0.7, 0.95}) {
+      for (uint32_t bits = 0; bits < 32; ++bits) {
+        const std::vector<bool> mask = mask_of(bits);
+        hs::core::policy_fractions_masked_into(kind, kFiveSpeeds, rho, mask,
+                                               1.0, fractions, scratch);
+        const hs::alloc::Allocation in_place(fractions);
+        const hs::alloc::Allocation reference =
+            hs::core::policy_allocation_masked(kind, kFiveSpeeds, rho, mask);
+        ASSERT_EQ(in_place.size(), reference.size());
+        for (size_t i = 0; i < reference.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(in_place[i]),
+                    std::bit_cast<uint64_t>(reference[i]))
+              << hs::core::policy_name(kind) << " rho " << rho << " mask "
+              << bits << " machine " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(MaskedAllocation, InPlaceReweightPicksMatchFreshRebuild) {
+  const double rho = 0.7;
+  const auto fresh = [rho](PolicyKind kind, hs::dispatch::SamplerKind sampler,
+                           const std::vector<bool>& mask)
+      -> std::unique_ptr<hs::dispatch::Dispatcher> {
+    hs::alloc::Allocation allocation =
+        hs::core::policy_allocation_masked(kind, kFiveSpeeds, rho, mask);
+    if (kind == PolicyKind::kORR) {
+      return std::make_unique<hs::dispatch::SmoothRoundRobinDispatcher>(
+          std::move(allocation));
+    }
+    return std::make_unique<hs::dispatch::RandomDispatcher>(
+        std::move(allocation), sampler);
+  };
+  for (const auto& [kind, sampler] :
+       {std::pair{PolicyKind::kORR, hs::dispatch::SamplerKind::kCdf},
+        std::pair{PolicyKind::kORAN, hs::dispatch::SamplerKind::kAlias}}) {
+    auto stack = hs::core::make_fault_aware_dispatcher(kind, kFiveSpeeds, rho,
+                                                       1.0, sampler);
+    std::unique_ptr<hs::dispatch::Dispatcher> reference;
+    hs::rng::Xoshiro256 stack_gen(17);
+    hs::rng::Xoshiro256 reference_gen(17);
+    // All-true first, all-false last: with no machine routable the stack
+    // keeps its previous routing, so the previous reference continues.
+    for (int bits = 31; bits >= 0; --bits) {
+      const std::vector<bool> mask = mask_of(static_cast<uint32_t>(bits));
+      EXPECT_TRUE(stack->set_available_mask(mask));
+      if (bits != 0) {
+        reference = fresh(kind, sampler, mask);
+      }
+      for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(stack->pick(stack_gen), reference->pick(reference_gen))
+            << hs::core::policy_name(kind) << " mask " << bits << " pick "
+            << i;
+      }
+    }
+  }
 }
 
 }  // namespace

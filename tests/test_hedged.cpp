@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cluster/sim.h"
+#include "core/policy.h"
 #include "dispatch/fault_aware.h"
 #include "dispatch/hedged.h"
 #include "dispatch/least_load.h"
@@ -209,6 +210,55 @@ TEST(Hedged, ConservationHoldsForEveryStackOrder) {
           << " in_flight=" << result.in_flight_at_end;
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// A static policy re-weighted through the hedging layer. A breaker in
+// survivor-reallocation mode outside Hedged reaches the policy through
+// it (Hedged forwards rebuild_fractions), so hedging survives in either
+// stacking order, and both orders trip, re-weight and hedge alike.
+
+TEST(Hedged, ReweightingBreakerKeepsHedgingInEitherOrder) {
+  hs::cluster::SimulationConfig config;
+  config.speeds = {1.0, 1.0, 2.0, 4.0};
+  config.rho = 0.9;
+  config.sim_time = 4000.0;
+  config.seed = 1;
+  config.workload.arrival_kind = hs::workload::ArrivalKind::kPoisson;
+  config.workload.size_kind = hs::workload::SizeKind::kExponential;
+  config.workload.fixed_or_mean_size = 1.0;
+  config.overload.queue_capacity = 2;
+  const HedgingConfig hedging{5.0};
+  const auto orr = [&config] {
+    return hs::core::make_policy_dispatcher(hs::core::PolicyKind::kORR,
+                                            config.speeds, config.rho);
+  };
+  const auto reweighter = [&config] {
+    return hs::core::policy_masked_reweighter(hs::core::PolicyKind::kORR,
+                                              config.speeds, config.rho);
+  };
+
+  // CircuitBreaker(Hedged(ORR)).
+  CircuitBreakerDispatcher outer_breaker(
+      std::make_unique<HedgedDispatcher>(orr(), hedging),
+      CircuitBreakerConfig{}, reweighter());
+  const auto breaker_outside = hs::cluster::run_simulation(config,
+                                                           outer_breaker);
+
+  // Hedged(CircuitBreaker(ORR)).
+  auto owned = std::make_unique<CircuitBreakerDispatcher>(
+      orr(), CircuitBreakerConfig{}, reweighter());
+  const CircuitBreakerDispatcher& inner_breaker = *owned;
+  HedgedDispatcher hedged(std::move(owned), hedging);
+  const auto hedged_outside = hs::cluster::run_simulation(config, hedged);
+
+  EXPECT_GT(outer_breaker.trips(), 0u);
+  EXPECT_GT(outer_breaker.rebuilds(), 0u);
+  EXPECT_GT(breaker_outside.hedges_issued, 0u);
+  EXPECT_EQ(outer_breaker.trips(), inner_breaker.trips());
+  EXPECT_EQ(outer_breaker.rebuilds(), inner_breaker.rebuilds());
+  EXPECT_EQ(breaker_outside.hedges_issued, hedged_outside.hedges_issued);
+  EXPECT_EQ(breaker_outside.total_completed, hedged_outside.total_completed);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "cluster/sim.h"
 #include "core/policy.h"
+#include "dispatch/cyclic.h"
 #include "obs/trace.h"
 #include "overload/admission.h"
 #include "overload/circuit_breaker.h"
@@ -287,8 +288,9 @@ TEST(Admission, FactoryBuildsConfiguredPolicy) {
 // ---- CircuitBreakerDispatcher ----
 
 /// Minimal deterministic inner dispatcher: cycles over the allowed
-/// machines. Masking support is switchable so both decorator modes are
-/// covered with one stub.
+/// machines. It either masks natively or, without mask support, takes
+/// in-place re-weights (a machine with fraction 0 is skipped), so both
+/// decorator modes are covered with one stub.
 class StubDispatcher final : public hs::dispatch::Dispatcher {
  public:
   StubDispatcher(size_t machines, bool supports_mask)
@@ -313,6 +315,16 @@ class StubDispatcher final : public hs::dispatch::Dispatcher {
       return false;
     }
     allowed_ = available;
+    return true;
+  }
+  bool rebuild_fractions(std::span<const double> fractions) override {
+    if (supports_mask_) {
+      return false;
+    }
+    for (size_t i = 0; i < allowed_.size(); ++i) {
+      allowed_[i] = fractions[i] > 0.0;
+    }
+    cursor_ = 0;
     return true;
   }
 
@@ -346,13 +358,41 @@ TEST(CircuitBreakerConfig, Validation) {
             std::string::npos);
 }
 
-TEST(CircuitBreaker, RequiresMaskOrRebuilder) {
+/// Survivor reweighter for the stub: equal shares over the routable
+/// machines, recording every mask it is asked for.
+hs::dispatch::Reweighter recording_reweighter(
+    std::vector<std::vector<bool>>& masks_seen) {
+  return [&masks_seen](const std::vector<bool>& available,
+                       std::vector<double>& fractions) {
+    masks_seen.push_back(available);
+    fractions.assign(available.size(), 0.0);
+    for (size_t i = 0; i < available.size(); ++i) {
+      fractions[i] = available[i] ? 1.0 : 0.0;
+    }
+  };
+}
+
+TEST(CircuitBreaker, RequiresMaskOrReweighter) {
   EXPECT_THROW(CircuitBreakerDispatcher(
                    std::make_unique<StubDispatcher>(2, false),
                    quick_breaker()),
                CheckError);
   EXPECT_NO_THROW(CircuitBreakerDispatcher(
       std::make_unique<StubDispatcher>(2, true), quick_breaker()));
+  std::vector<std::vector<bool>> masks_seen;
+  EXPECT_NO_THROW(CircuitBreakerDispatcher(
+      std::make_unique<StubDispatcher>(2, false), quick_breaker(),
+      recording_reweighter(masks_seen)));
+  // An inner dispatcher that declines the in-place re-weight fails
+  // loudly at the first trip instead of routing on unchanged.
+  CircuitBreakerDispatcher declines(
+      std::make_unique<hs::dispatch::CyclicDispatcher>(
+          hs::alloc::Allocation({0.5, 0.5})),
+      quick_breaker(),
+      recording_reweighter(masks_seen));
+  declines.on_dispatch_result(0, false, 1.0);
+  declines.on_dispatch_result(0, false, 1.0);
+  EXPECT_THROW(declines.on_dispatch_result(0, false, 1.0), CheckError);
 }
 
 TEST(CircuitBreaker, TripsAfterConsecutiveFailures) {
@@ -428,47 +468,49 @@ TEST(CircuitBreaker, CrashReportTripsInstantly) {
   EXPECT_EQ(breaker.state(1), BreakerState::kHalfOpen);
 }
 
-TEST(CircuitBreaker, RebuilderModeReallocatesOverSurvivors) {
+TEST(CircuitBreaker, ReweighterModeReallocatesOverSurvivors) {
   std::vector<std::vector<bool>> masks_seen;
-  auto rebuilder = [&masks_seen](const std::vector<bool>& available) {
-    masks_seen.push_back(available);
-    return std::make_unique<StubDispatcher>(available.size(), false);
-  };
   CircuitBreakerDispatcher breaker(std::make_unique<StubDispatcher>(3, false),
-                                   quick_breaker(), rebuilder);
+                                   quick_breaker(),
+                                   recording_reweighter(masks_seen));
+  const hs::dispatch::Dispatcher* inner = &breaker.inner();
   for (int i = 0; i < 3; ++i) {
     breaker.on_dispatch_result(2, false, 1.0);
   }
   EXPECT_EQ(breaker.rebuilds(), 1u);
   ASSERT_EQ(masks_seen.size(), 1u);
   EXPECT_EQ(masks_seen[0], (std::vector<bool>{true, true, false}));
-  // Half-open rejoins the routing set: another rebuild with all three.
+  hs::rng::Xoshiro256 gen(5);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_NE(breaker.pick(gen), 2u);
+  }
+  // Half-open rejoins the routing set: another re-weight with all three.
   breaker.on_arrival(12.0);
   EXPECT_EQ(breaker.rebuilds(), 2u);
   EXPECT_EQ(masks_seen[1], (std::vector<bool>{true, true, true}));
+  // Re-weighted in place: the breaker still holds its original inner.
+  EXPECT_EQ(&breaker.inner(), inner);
 }
 
 TEST(CircuitBreaker, AllOpenKeepsPreviousRouting) {
-  size_t rebuild_calls = 0;
-  auto rebuilder = [&rebuild_calls](const std::vector<bool>& available) {
-    ++rebuild_calls;
-    return std::make_unique<StubDispatcher>(available.size(), false);
-  };
+  std::vector<std::vector<bool>> masks_seen;
   CircuitBreakerDispatcher breaker(std::make_unique<StubDispatcher>(2, false),
-                                   quick_breaker(), rebuilder);
+                                   quick_breaker(),
+                                   recording_reweighter(masks_seen));
   for (int i = 0; i < 3; ++i) {
     breaker.on_dispatch_result(0, false, 1.0);
   }
-  EXPECT_EQ(rebuild_calls, 1u);
+  EXPECT_EQ(masks_seen.size(), 1u);
   for (int i = 0; i < 3; ++i) {
     breaker.on_dispatch_result(1, false, 2.0);
   }
-  // Both open: no rebuild over an empty survivor set — the previous
-  // routing stays so jobs fail fast and feed the half-open probes.
-  EXPECT_EQ(rebuild_calls, 1u);
+  // Both open: no re-weight over an empty survivor set — the previous
+  // routing (machine 1 only) stays so jobs fail fast and feed the
+  // half-open probes.
+  EXPECT_EQ(masks_seen.size(), 1u);
   EXPECT_EQ(breaker.open_count(), 2u);
   hs::rng::Xoshiro256 gen(5);
-  EXPECT_LT(breaker.pick(gen), 2u);  // still routable, fails fast
+  EXPECT_EQ(breaker.pick(gen), 1u);
 }
 
 TEST(CircuitBreaker, TransitionsAreTraced) {

@@ -17,7 +17,9 @@
 #include "serving/clock.h"
 #include "serving/replay.h"
 #include "serving/serving_dispatcher.h"
+#include "serving/snapshot.h"
 #include "serving/trace_io.h"
+#include "util/atomic_file.h"
 #include "util/check.h"
 
 namespace {
@@ -501,6 +503,82 @@ TEST(ReplayTest, GoldenRecordedSessionReplay) {
   EXPECT_EQ(result.completed_jobs, 400u);
   EXPECT_EQ(result.mean_response_time, 0.029715624999999905);
   EXPECT_EQ(result.mean_response_ratio, 0.22874999999999934);
+}
+
+// ---- Format pins --------------------------------------------------------
+//
+// Fixed small inputs must encode to these exact bytes, and decoding then
+// re-encoding them must give the same bytes back: any change to the
+// HSTRACE1 or HSSNAP1 layout (field order, width, endianness) fails here.
+
+/// Lowercase hex of a file's bytes.
+std::string file_hex(const std::string& path) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const uint8_t b : hs::util::read_file(path)) {
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xf];
+  }
+  return hex;
+}
+
+TEST(FormatPinTest, TraceBytesArePinned) {
+  RecordedTrace recorded;
+  recorded.seed = 0x0123456789ABCDEFull;
+  recorded.recorded_unix_nanos = 1770000000123456789ull;
+  recorded.trace = hs::workload::JobTrace(
+      {hs::queueing::Job{0, 0.5, 1.25}, hs::queueing::Job{1, 2.0, 0.1}});
+  const std::string pinned =
+      "4853545241434531" "01000000" "00000000"  // magic, version, reserved
+      "efcdab8967452301"                          // seed
+      "15cdcc4b9f4d9018"                          // recorded_unix_nanos
+      "0200000000000000"                          // job count
+      "000000000000e03f" "000000000000f43f"       // job 0: arrival, size
+      "0000000000000040" "9a9999999999b93f";      // job 1
+  const std::string path = temp_path("pin.trace");
+  hs::serving::save_trace_binary(path, recorded);
+  EXPECT_EQ(file_hex(path), pinned);
+  hs::serving::save_trace_binary(path, hs::serving::load_trace_binary(path));
+  EXPECT_EQ(file_hex(path), pinned);
+}
+
+TEST(FormatPinTest, SnapshotBytesArePinned) {
+  hs::serving::ServingSnapshot snapshot;
+  snapshot.seed = 42;
+  snapshot.captured_unix_nanos = 1770000000987654321ull;
+  snapshot.session_time = 12.5;
+  snapshot.acquired = 9;
+  snapshot.released = 7;
+  snapshot.timeouts = 1;
+  snapshot.sheds = 3;
+  snapshot.rng_state = {1, 2, 0xFFFFFFFFFFFFFFFFull, 4};
+  snapshot.policy = "fault-aware(random)";
+  snapshot.policy_state = {0.25, -1.5, 1e300};
+  snapshot.outstanding = {2, 0};
+  snapshot.health = {{1, 4, 10.0, 11.5, 0.5, 23}, {0, 0, 0.0, 12.0, 0.25, 48}};
+  const std::string pinned =
+      "4853534e41503100" "01000000" "02000000"  // magic, version, machines
+      "2a00000000000000" "b1684f7f9f4d9018"       // seed, captured nanos
+      "0900000000000000" "0700000000000000"       // acquired, released
+      "0100000000000000" "0000000000002940"       // timeouts, session time
+      "0100000000000000" "0200000000000000"       // rng state
+      "ffffffffffffffff" "0400000000000000"
+      "0300000000000000"                          // sheds
+      "13000000" "6661756c742d61776172652872616e646f6d29"  // policy name
+      "0300000000000000" "000000000000d03f"       // policy state
+      "000000000000f8bf" "9c7500883ce4377e"
+      "02000000" "00000000"                       // outstanding
+      "01000000"                                  // health section present
+      "01000000" "04000000" "0000000000002440"    // machine 0 health
+      "0000000000002740" "000000000000e03f" "1700000000000000"
+      "00000000" "00000000" "0000000000000000"    // machine 1 health
+      "0000000000002840" "000000000000d03f" "3000000000000000";
+  const std::string path = temp_path("pin.snap");
+  hs::serving::save_snapshot_binary(path, snapshot);
+  EXPECT_EQ(file_hex(path), pinned);
+  hs::serving::save_snapshot_binary(path,
+                                    hs::serving::load_snapshot_binary(path));
+  EXPECT_EQ(file_hex(path), pinned);
 }
 
 }  // namespace

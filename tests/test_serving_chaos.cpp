@@ -13,7 +13,8 @@
 //  * degradation: brownout/fail-static/never-empty engage and disengage
 //    exactly at their configured boundaries;
 //  * persistence: snapshot → save → load → restore resumes the session
-//    bit-identically, and corrupted files are rejected cleanly.
+//    bit-identically, and corrupted HSTRACE1, HSSNAP1 and HSSCHED1 files
+//    are rejected cleanly.
 //
 // Scenarios are deterministic (fixed seeds, scripted clocks). The one
 // randomized soak reads HS_CHAOS_SEED from the environment (CI passes a
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -39,6 +41,7 @@
 #include "dispatch/least_load.h"
 #include "dispatch/random_dispatcher.h"
 #include "dispatch/smooth_rr.h"
+#include "explore/schedule.h"
 #include "obs/trace.h"
 #include "overload/admission.h"
 #include "rng/rng.h"
@@ -65,25 +68,28 @@ std::string temp_path(const std::string& name) {
   return testing::TempDir() + "hs_chaos_" + name;
 }
 
-/// FaultAware (rebuild mode) over equal-fraction random dispatch: the
-/// policy keeps sending traffic to a dead backend until a health
-/// transition masks it out — exactly the stack that needs detection.
+/// FaultAware (survivor reallocation) over equal-fraction random
+/// dispatch: the policy keeps sending traffic to a dead backend until a
+/// health transition masks it out — exactly the stack that needs
+/// detection.
 std::unique_ptr<hs::dispatch::Dispatcher> make_fault_aware_random() {
-  auto rebuilder = [](const std::vector<bool>& available) {
+  auto equal_shares = [](const std::vector<bool>& available,
+                         std::vector<double>& fractions) {
     size_t up = 0;
     for (const bool a : available) {
       up += a ? 1 : 0;
     }
-    std::vector<double> fractions(available.size(), 0.0);
+    fractions.assign(available.size(), 0.0);
     for (size_t i = 0; i < available.size(); ++i) {
       fractions[i] = available[i] ? 1.0 / static_cast<double>(up) : 0.0;
     }
-    return std::make_unique<hs::dispatch::RandomDispatcher>(
-        hs::alloc::Allocation(std::move(fractions)));
   };
-  std::vector<bool> all_up(kSpeeds.size(), true);
+  std::vector<double> fractions;
+  equal_shares(std::vector<bool>(kSpeeds.size(), true), fractions);
   return std::make_unique<hs::dispatch::FaultAwareDispatcher>(
-      rebuilder(all_up), rebuilder);
+      std::make_unique<hs::dispatch::RandomDispatcher>(
+          hs::alloc::Allocation(std::move(fractions))),
+      equal_shares);
 }
 
 // ---- Detection ----------------------------------------------------------
@@ -568,10 +574,14 @@ void spit(const std::string& path, const std::vector<char>& bytes) {
 /// Flip single bits through the whole header and seeded-random payload
 /// bytes, plus truncate at every prefix length; `load` must either
 /// succeed or throw CheckError — anything else (UB under ASan/UBSan, a
-/// different exception, a crash) fails the test.
+/// different exception, a crash) fails the test. A path that opens but
+/// is not a regular file (a directory) must throw CheckError too.
 template <typename LoadFn>
 void corruption_sweep(const std::string& path,
                       const std::vector<char>& valid, LoadFn load) {
+  const std::string directory = path + ".d";
+  std::filesystem::create_directories(directory);
+  EXPECT_THROW(load(directory), hs::util::CheckError);
   const size_t header_sweep = std::min<size_t>(valid.size(), 96);
   for (size_t byte = 0; byte < header_sweep; ++byte) {
     for (const unsigned mask : {0x01u, 0x80u}) {
@@ -652,6 +662,26 @@ TEST(ChaosCorruptionTest, SnapshotFileFlipsAreRejectedCleanly) {
 
   corruption_sweep(path, valid, [](const std::string& p) {
     (void)hs::serving::load_snapshot_binary(p);
+  });
+}
+
+TEST(ChaosCorruptionTest, ScheduleFileFlipsAreRejectedCleanly) {
+  using hs::cluster::ChoiceKind;
+  using hs::explore::Override;
+  hs::explore::Schedule schedule;
+  schedule.ops = {
+      Override::force_bool(ChoiceKind::kDispatchLoss, 1, 3, true),
+      Override::force_double(ChoiceKind::kLinkDelay, 0, 200, 0.1),
+      Override::force_bool(ChoiceKind::kHedgeIssue, 300, 0, false),
+      Override::force_double(ChoiceKind::kFaultDowntime, 2, 1, 1e300),
+  };
+  const std::string path = temp_path("sweep.hssched");
+  hs::explore::save_schedule(schedule, path);
+  const std::vector<char> valid = slurp(path);
+  ASSERT_GT(valid.size(), 30u);
+
+  corruption_sweep(path, valid, [](const std::string& p) {
+    (void)hs::explore::load_schedule(p);
   });
 }
 

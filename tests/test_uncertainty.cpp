@@ -23,6 +23,7 @@
 #include "dispatch/smooth_rr.h"
 #include "obs/observer.h"
 #include "obs/trace.h"
+#include "rng/distributions.h"
 #include "rng/rng.h"
 #include "uncertainty/adaptive.h"
 #include "uncertainty/config.h"
@@ -272,6 +273,40 @@ TEST(RateEstimator, UsesFallbackUntilWarm) {
   estimator.observe(1.0);
   EXPECT_FALSE(estimator.warmed_up());
   EXPECT_DOUBLE_EQ(estimator.rate(7.0), 7.0);
+}
+
+TEST(RateEstimator, ConvergesOnPoissonStream) {
+  // Discounting the count and the elapsed time together avoids the
+  // length bias of averaging gaps: a per-gap EWMA weighted by gap length
+  // over-counts long gaps and reads about half the true Poisson rate.
+  RateEstimator estimator(500.0);
+  hs::rng::Xoshiro256 gen(7);
+  hs::rng::Exponential gaps(4.0);
+  double t = 0.0;
+  for (int i = 0; i < 100000; ++i) {
+    t += gaps.sample(gen);
+    estimator.observe(t);
+  }
+  EXPECT_NEAR(estimator.rate(0.0), 4.0, 0.3);
+}
+
+TEST(RateEstimator, ResetForgetsHistory) {
+  RateEstimator estimator(10.0);
+  for (int i = 0; i < 100; ++i) {
+    estimator.observe(i * 0.1);
+  }
+  estimator.reset();
+  EXPECT_EQ(estimator.observed(), 0u);
+  EXPECT_EQ(estimator.last_event(), 0.0);
+  EXPECT_DOUBLE_EQ(estimator.rate(0.3), 0.3);
+}
+
+TEST(RateEstimator, RejectsInvalidTimeConstant) {
+  EXPECT_THROW((void)RateEstimator(0.0), CheckError);
+  EXPECT_THROW((void)RateEstimator(-1.0), CheckError);
+  EXPECT_THROW(
+      (void)RateEstimator(std::numeric_limits<double>::infinity()),
+      CheckError);
 }
 
 TEST(ServiceRateEstimator, RecoversSpeedFromCompletedWork) {
@@ -685,15 +720,13 @@ TEST(UncertainSimulation, ReallocTimelineIsSeedDeterministic) {
 TEST(UncertainSimulation, ResultCountsAdaptationThroughDecorators) {
   hs::cluster::SimulationConfig config = base_config();
   config.uncertainty.lambda_error.bias = 0.6;
-  auto factory = hs::core::adaptive_dispatcher_factory(
-      hs::core::PolicyKind::kORR, config.speeds,
-      config.rho * config.uncertainty.lambda_error.bias,
-      fast_adaptive_options(), /*fault_aware=*/true);
-  auto dispatcher = factory();
-  ASSERT_NE(
-      dynamic_cast<hs::dispatch::FaultAwareDispatcher*>(dispatcher.get()),
-      nullptr);
-  const auto result = hs::cluster::run_simulation(config, *dispatcher);
+  // Native masking: the adaptive core survives fault transitions.
+  hs::dispatch::FaultAwareDispatcher dispatcher(
+      hs::core::make_adaptive_dispatcher(
+          hs::core::PolicyKind::kORR, config.speeds,
+          config.rho * config.uncertainty.lambda_error.bias,
+          fast_adaptive_options()));
+  const auto result = hs::cluster::run_simulation(config, dispatcher);
   // The run context unwraps the decorator to find the adaptive core.
   EXPECT_GE(result.realloc_commits, 1u);
   EXPECT_EQ(result.governor_freezes, 0u);
@@ -767,10 +800,11 @@ TEST(UncertainSimulation, ExperimentAggregatesAdaptationTotals) {
   experiment.base_seed = 99;
   const auto beliefs = experiment.believed_params();
   EXPECT_NEAR(beliefs.rho, experiment.simulation.rho * 0.6, 1e-12);
-  auto factory = hs::core::adaptive_dispatcher_factory(
-      hs::core::PolicyKind::kORR, beliefs.speeds, beliefs.rho,
-      fast_adaptive_options());
-  const auto result = hs::cluster::run_experiment(experiment, factory);
+  const auto result = hs::cluster::run_experiment(experiment, [beliefs] {
+    return hs::core::make_adaptive_dispatcher(hs::core::PolicyKind::kORR,
+                                              beliefs.speeds, beliefs.rho,
+                                              fast_adaptive_options());
+  });
   uint64_t commits = 0;
   for (const auto& replication : result.replications) {
     commits += replication.realloc_commits;
