@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "cluster/sim.h"
 #include "core/policy.h"
@@ -120,6 +121,31 @@ void BM_PsServerArrivalDeparture(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PsServerArrivalDeparture);
+
+// Hedge cancellation on a PS server at a steady depth: evict one random
+// resident job, then arrive one in its place. Sizes are large enough
+// that nothing departs, so each iteration is exactly one evict plus one
+// arrive.
+void BM_PsServerEvict(benchmark::State& state) {
+  hs::sim::Simulator sim;
+  hs::queueing::PsServer server(sim, 1.0, 0);
+  hs::rng::Xoshiro256 gen(11);
+  const auto depth = static_cast<size_t>(state.range(0));
+  std::vector<uint64_t> resident(depth);
+  uint64_t id = 0;
+  for (uint64_t& slot : resident) {
+    slot = id;
+    server.arrive(hs::queueing::Job{id++, 0.0, gen.uniform(1e6, 2e6)});
+  }
+  for (auto _ : state) {
+    uint64_t& victim = resident[gen.next_below(depth)];
+    benchmark::DoNotOptimize(server.evict(victim));
+    victim = id;
+    server.arrive(hs::queueing::Job{id++, 0.0, gen.uniform(1e6, 2e6)});
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PsServerEvict)->Arg(16)->Arg(64)->Arg(1024);
 
 hs::cluster::SimulationConfig cluster_bench_config() {
   hs::cluster::SimulationConfig config;

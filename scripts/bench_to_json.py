@@ -36,11 +36,13 @@ CLUSTER_JOBS_PER_ITER = 14895.0
 CLUSTER_BENCH = "BM_FullClusterSimulation"
 
 # Headline latency benchmarks: lower-is-better real_time metrics gated
-# by --latency-regression. The serving p99 benches report the batch p99
-# as their iteration time (see bench/micro_serving.cpp), so real_time
-# here IS the tail latency, and min-over-rounds keeps the least
-# contended estimate.
+# by --latency-regression. BM_PsServerEvict is one hedge cancellation
+# (evict plus arrive) on a PS server at a steady depth. The serving p99
+# benches report the batch p99 as their iteration time (see
+# bench/micro_serving.cpp), so real_time there IS the tail latency, and
+# min-over-rounds keeps the least contended estimate.
 HEADLINE_LATENCY = [
+    r"^BM_PsServerEvict/",
     r"^BM_ServingAcquireP99LeastLoad/",
     r"^BM_ServingAcquireP99Alias/",
     r"^BM_ServingAcquireP99Health/",
@@ -173,7 +175,14 @@ def main():
         base_res = baseline["results"].get(CLUSTER_BENCH, {})
         base_jps = base_res.get("jobs_per_sec")
         new_jps = results.get(CLUSTER_BENCH, {}).get("jobs_per_sec")
-        if base_jps and new_jps:
+        if not new_jps:
+            print(f"--check-regression: {CLUSTER_BENCH} not in this run; "
+                  f"skipping gate")
+        elif not base_jps:
+            # A baseline that lacks the gated number would pass anything.
+            sys.exit(f"--check-regression: baseline '{baseline['label']}' "
+                     f"records no {CLUSTER_BENCH} jobs_per_sec")
+        else:
             floor = base_jps * (1.0 - args.check_regression / 100.0)
             verdict = "OK" if new_jps >= floor else "REGRESSION"
             print(
@@ -183,17 +192,13 @@ def main():
             )
             if new_jps < floor:
                 sys.exit(1)
-        else:
-            print(
-                f"--check-regression: no jobs_per_sec to compare "
-                f"(baseline: {base_jps}, new: {new_jps}); skipping gate"
-            )
 
     if args.latency_regression is not None:
-        # Gate on the lower-is-better headline latencies: each one
-        # present in both the baseline and this run must stay within
-        # PCT% of its recorded value. Latency on shared runners is far
-        # noisier than throughput, so CI passes a wide margin here.
+        # Gate on the lower-is-better headline latencies: each one in
+        # this run must stay within PCT% of the baseline's value, and a
+        # baseline that does not record it fails the gate instead of
+        # skipping it. Latency on shared runners is far noisier than
+        # throughput, so CI passes a wide margin here.
         if baseline is None:
             sys.exit("--latency-regression needs a baseline entry")
         compared = 0
@@ -203,6 +208,8 @@ def main():
                 continue
             base = baseline["results"].get(name)
             if not base or base["unit"] != res["unit"]:
+                print(f"{name}: no baseline in '{baseline['label']}'")
+                failed.append(name)
                 continue
             compared += 1
             ceiling = base["real_time"] * (1.0 + args.latency_regression / 100.0)
@@ -215,9 +222,9 @@ def main():
             )
             if res["real_time"] > ceiling:
                 failed.append(name)
-        if compared == 0:
+        if compared == 0 and not failed:
             print("--latency-regression: no headline latency benchmarks "
-                  "to compare; skipping gate")
+                  "in this run; skipping gate")
         if failed:
             sys.exit(1)
 

@@ -94,6 +94,15 @@ std::unique_ptr<queueing::Server> make_server(const SimulationConfig& config,
   return nullptr;
 }
 
+/// Gauge-name prefix of machine `m`, "m<index>". Built by appending:
+/// GCC 12 reports a false -Wrestrict on `"m" + std::to_string(m)` at -O3
+/// (GCC PR 105329), which breaks the -Werror Release build.
+std::string machine_prefix(size_t m) {
+  std::string prefix = "m";
+  prefix += std::to_string(m);
+  return prefix;
+}
+
 /// Locate a GovernedAdaptiveDispatcher inside a (possibly decorated)
 /// scheduler: the adaptive policy masks natively, so fault-aware and
 /// circuit-breaker decorators hold it directly and never rebuild it (the
@@ -140,8 +149,8 @@ overload::CircuitBreakerDispatcher* find_breaker(
 
 /// Locate a HedgedDispatcher anywhere in a decorator stack (the three
 /// robustness decorators compose in any order). At most one per
-/// scheduler: the hedge lifecycle keys flights by job id, which a second
-/// hedging layer would double-book.
+/// scheduler: a flight holds one primary and one hedge copy, which a
+/// second hedging layer would double-book.
 dispatch::HedgedDispatcher* find_hedged(dispatch::Dispatcher* dispatcher) {
   if (auto* hedged = dynamic_cast<dispatch::HedgedDispatcher*>(dispatcher)) {
     return hedged;
@@ -264,6 +273,8 @@ class RunContext : private sim::EventTarget {
       stale_feedback_ =
           config.uncertainty.staleness.enabled() && any_feedback_;
     }
+    track_senders_ =
+        any_feedback_ && !stale_feedback_ && schedulers_.size() > 1;
     // Network layer (config.network + dispatch::HedgedDispatcher). Any
     // link fault, partition, heartbeat detector, or enabled hedging
     // decorator switches dispatch onto the asynchronous message path;
@@ -428,8 +439,8 @@ class RunContext : private sim::EventTarget {
     if (net_on_) {
       // A stranded hedged job may sit on two dead machines at once; the
       // conservation identity counts jobs, not copies.
-      for (const auto& [id, flight] : flights_) {
-        if (flight.resident_mask == 0b11) {
+      for (const Flight& flight : flights_) {
+        if (flight.live() && flight.resident_mask == 0b11) {
           --in_flight;
         }
       }
@@ -457,7 +468,7 @@ class RunContext : private sim::EventTarget {
     kPartitionEvent,     // PartitionEvent (a partition window edge)
     kNetDeliverDispatch, // NetMsgArgs (a dispatch copy reaches a machine)
     kNetCopyLost,        // NetMsgArgs (a dead copy's fate is noticed)
-    kHedgeTimer,         // Job (hedge deadline for a primary dispatch)
+    kHedgeTimer,         // FlightRef (hedge deadline for a primary dispatch)
     kHeartbeat,          // HeartbeatArgs (a machine emits a heartbeat)
     kHeartbeatArrival,   // HeartbeatArgs (heartbeat reaches the scheduler)
     kSuspectCheck,       // SuspectArgs (failure-detector timeout check)
@@ -481,15 +492,20 @@ class RunContext : private sim::EventTarget {
     uint32_t machine;
     uint64_t queue_length;
   };
-  /// One in-flight dispatch-message copy. `copy` indexes the flight's
-  /// copy slot (0 = primary, 1 = hedge); `notify_fail` tells the loss
-  /// handler to report a dispatch failure to the scheduler (how a
+  /// One in-flight copy of flight (job.flight, generation). `copy` indexes
+  /// the flight's copy slot (0 = primary, 1 = hedge); `notify_fail` tells the
+  /// loss handler to report a dispatch failure to the scheduler (how a
   /// partition trips circuit breakers without any crash).
   struct NetMsgArgs {
     queueing::Job job;
     uint32_t machine;
+    uint32_t generation;
     uint8_t copy;
     uint8_t notify_fail;
+  };
+  struct FlightRef {
+    uint32_t slot;
+    uint32_t generation;
   };
   struct HeartbeatArgs {
     uint32_t machine;
@@ -499,9 +515,12 @@ class RunContext : private sim::EventTarget {
     uint64_t generation;  // heartbeat count when the check was armed
   };
   /// One job in flight on the asynchronous dispatch path: up to two
-  /// message copies (0 = primary, 1 = hedge) racing to complete it.
+  /// message copies (0 = primary, 1 = hedge) racing to complete it. The
+  /// slot's generation is odd while live and moves on at release, so a
+  /// message or timer that outlives its flight fails one compare.
   struct Flight {
-    queueing::Job job;          // primary payload (id/arrival/size/attempt)
+    queueing::Job job;  // primary payload; job.flight is this slot
+    uint32_t generation = 0;
     uint32_t scheduler = 0;
     uint32_t machine[2] = {0, 0};  // destination per copy slot
     uint8_t delivered_mask = 0;    // copies seen at a machine (dedup)
@@ -509,6 +528,7 @@ class RunContext : private sim::EventTarget {
     uint8_t pending = 0;           // copies whose fate is unsettled
     bool completed = false;
     sim::EventHandle hedge_timer;
+    [[nodiscard]] bool live() const { return (generation & 1u) != 0; }
   };
   struct HeartbeatState {
     double last_arrival = 0.0;  // when the last heartbeat was seen
@@ -587,7 +607,7 @@ class RunContext : private sim::EventTarget {
         net_on_copy_lost(args.unpack<NetMsgArgs>());
         return;
       case kHedgeTimer:
-        net_on_hedge_timer(args.unpack<queueing::Job>());
+        net_on_hedge_timer(args.unpack<FlightRef>());
         return;
       case kHeartbeat:
         on_heartbeat(args.unpack<HeartbeatArgs>().machine);
@@ -614,7 +634,7 @@ class RunContext : private sim::EventTarget {
     registry_->clear();
     for (size_t m = 0; m < servers_.size(); ++m) {
       queueing::Server* server = servers_[m].get();
-      const std::string prefix = "m" + std::to_string(m);
+      const std::string prefix = machine_prefix(m);
       registry_->register_gauge(prefix + ".queue_depth", [server] {
         return static_cast<double>(server->queue_length());
       });
@@ -656,7 +676,7 @@ class RunContext : private sim::EventTarget {
     // overload protection is off) so the CSV schema stays stable.
     for (size_t m = 0; m < servers_.size(); ++m) {
       queueing::Server* server = servers_[m].get();
-      const std::string prefix = "m" + std::to_string(m);
+      const std::string prefix = machine_prefix(m);
       registry_->register_gauge(prefix + ".capacity", [server] {
         return static_cast<double>(server->capacity());
       });
@@ -681,7 +701,7 @@ class RunContext : private sim::EventTarget {
     const overload::CircuitBreakerDispatcher* breaker =
         find_breaker(schedulers_.front());
     for (size_t m = 0; m < servers_.size(); ++m) {
-      const std::string prefix = "m" + std::to_string(m);
+      const std::string prefix = machine_prefix(m);
       registry_->register_gauge(prefix + ".breaker_state", [breaker, m] {
         if (breaker == nullptr) {
           return 0.0;
@@ -718,7 +738,7 @@ class RunContext : private sim::EventTarget {
                                                                     : 0.0;
     });
     for (size_t m = 0; m < servers_.size(); ++m) {
-      const std::string prefix = "m" + std::to_string(m);
+      const std::string prefix = machine_prefix(m);
       registry_->register_gauge(prefix + ".speed_hat", [this, m] {
         return adaptive_ != nullptr ? adaptive_->speed_hat(m) : 0.0;
       });
@@ -913,10 +933,7 @@ class RunContext : private sim::EventTarget {
       net_dispatch(job, machine, scheduler);
       return;
     }
-    if (any_feedback_ && !stale_feedback_) {
-      // Departure reports must reach the scheduler that sent the job
-      // (schedulers share no state). Under the staleness model there are
-      // no per-departure reports, so nothing is tracked.
+    if (track_senders_) {
       job_scheduler_[job.id] = scheduler;
     }
     if (faults_on_ && down_[machine]) {
@@ -986,7 +1003,7 @@ class RunContext : private sim::EventTarget {
                      static_cast<int32_t>(machine),
                      static_cast<uint16_t>(job.attempt));
     }
-    if (any_feedback_ && !stale_feedback_) {
+    if (track_senders_) {
       job_scheduler_.erase(job.id);  // no completion will ever arrive
     }
     decide_retry(job, measured);
@@ -1108,7 +1125,7 @@ class RunContext : private sim::EventTarget {
                      static_cast<int32_t>(machine),
                      static_cast<uint16_t>(job.attempt));
     }
-    if (any_feedback_ && !stale_feedback_) {
+    if (track_senders_) {
       job_scheduler_.erase(job.id);  // no completion will ever arrive
     }
     const double delay = feedback_delay(fault_delay_gen_, machine);
@@ -1186,8 +1203,8 @@ class RunContext : private sim::EventTarget {
   // ---- Network layer (config.network; docs/FAULT_MODEL.md §8) ----
   //
   // With net_on_, every dispatch is a message copy over the faulty
-  // dispatcher→machine link and every job in flight has a Flight entry
-  // keyed by job id. A flight holds up to two copies (primary + hedge);
+  // dispatcher→machine link and every job in flight has a Flight slot
+  // (job.flight). A flight holds up to two copies (primary + hedge);
   // `pending` counts copies whose fate is still unsettled (in transit or
   // awaiting loss detection), `resident_mask` the copies currently
   // occupying a server. The flight resolves exactly once:
@@ -1222,94 +1239,89 @@ class RunContext : private sim::EventTarget {
   /// decide_retry ran).
   void net_dispatch(const queueing::Job& job, size_t machine,
                     size_t scheduler) {
-    Flight& flight = flights_[job.id];
-    flight.job = job;
-    flight.scheduler = static_cast<uint32_t>(scheduler);
-    flight.machine[0] = static_cast<uint32_t>(machine);
-    flight.machine[1] = static_cast<uint32_t>(machine);
-    flight.delivered_mask = 0;
-    flight.resident_mask = 0;
-    flight.pending = 1;
-    flight.completed = false;
+    if (free_flights_.empty()) {
+      free_flights_.push_back(static_cast<uint32_t>(flights_.size()));
+      flights_.emplace_back();
+    }
+    const uint32_t slot = free_flights_.back();
+    free_flights_.pop_back();
+    const auto m = static_cast<uint32_t>(machine);
+    Flight& flight = flights_[slot];
+    flight = Flight{.job = job,
+                    .generation = flight.generation + 1,  // odd: live
+                    .scheduler = static_cast<uint32_t>(scheduler),
+                    .machine = {m, m},
+                    .pending = 1,
+                    .hedge_timer = {}};
+    flight.job.flight = slot;
     dispatch::HedgedDispatcher* hedged = hedged_[scheduler];
     if (hedged != nullptr && hedged->config().enabled()) {
       flight.hedge_timer = simulator_.schedule_in(
           hedged->config().delay, *this, kHedgeTimer,
-          sim::EventArgs::pack(job));
-    } else {
-      flight.hedge_timer = sim::EventHandle{};
+          sim::EventArgs::pack(FlightRef{slot, flight.generation}));
     }
-    net_send_copy(job, machine, /*copy=*/0);
+    net_send_copy(flight, machine, /*copy=*/0);
   }
 
   /// Put one dispatch-message copy on the wire. The caller has already
   /// accounted the copy in the flight's `pending`.
-  void net_send_copy(const queueing::Job& job, size_t machine,
-                     uint8_t copy) {
+  void net_send_copy(const Flight& flight, size_t machine, uint8_t copy) {
+    const NetMsgArgs msg{flight.job, static_cast<uint32_t>(machine),
+                         flight.generation, copy, /*notify_fail=*/0};
     const LinkFaults& link = config_.network.dispatch_link;
     // Partition first, without a draw: an isolated machine loses the
     // message deterministically, keeping partition experiments
     // stream-for-stream comparable to non-partitioned ones.
     if (partitioned_[machine] != 0 ||
         link_event(link.loss, ChoiceKind::kDispatchLoss, machine)) {
-      net_lose_copy(job, machine, copy, /*notify_fail=*/true);
+      net_lose_copy(msg);
       return;
     }
     simulator_.schedule_in(
         choice_double(ChoiceKind::kLinkDelay, machine,
                       link.sample_delay(*net_gen_)),
-        *this, kNetDeliverDispatch,
-        sim::EventArgs::pack(NetMsgArgs{job, static_cast<uint32_t>(machine),
-                                        copy, 0}));
+        *this, kNetDeliverDispatch, sim::EventArgs::pack(msg));
     if (link_event(link.duplicate, ChoiceKind::kDispatchDup, machine)) {
       ++msgs_duplicated_;
       if (trace_ != nullptr) {
         trace_->record(simulator_.now(), obs::TraceEventKind::kMsgDup,
-                       job.id, static_cast<int32_t>(machine),
-                       static_cast<uint16_t>(job.attempt));
+                       msg.job.id, static_cast<int32_t>(machine),
+                       static_cast<uint16_t>(msg.job.attempt));
       }
       // Independent delay draw — the duplicate may overtake the
       // original; delivery dedups by the flight's delivered_mask.
       simulator_.schedule_in(
           choice_double(ChoiceKind::kLinkDelay, machine,
                         link.sample_delay(*net_gen_)),
-          *this, kNetDeliverDispatch,
-          sim::EventArgs::pack(NetMsgArgs{
-              job, static_cast<uint32_t>(machine), copy, 0}));
+          *this, kNetDeliverDispatch, sim::EventArgs::pack(msg));
     }
   }
 
-  /// A copy died in transit: count it, and schedule the loss detection
-  /// (the scheduler notices the silence after the §4.2 delay, drawn from
-  /// the network stream so crash-loss detection stays untouched).
-  void net_lose_copy(const queueing::Job& job, size_t machine, uint8_t copy,
-                     bool notify_fail) {
+  /// A copy died in transit: count it, and schedule the loss detection,
+  /// which reports a dispatch failure (the §4.2 delay, drawn from the
+  /// network stream so crash-loss detection stays untouched).
+  void net_lose_copy(NetMsgArgs msg) {
     ++msgs_lost_;
     if (trace_ != nullptr) {
       trace_->record(simulator_.now(), obs::TraceEventKind::kMsgLost,
-                     job.id, static_cast<int32_t>(machine),
-                     static_cast<uint16_t>(job.attempt));
+                     msg.job.id, static_cast<int32_t>(msg.machine),
+                     static_cast<uint16_t>(msg.job.attempt));
     }
-    simulator_.schedule_in(
-        feedback_delay(*net_gen_, machine), *this, kNetCopyLost,
-        sim::EventArgs::pack(NetMsgArgs{
-            job, static_cast<uint32_t>(machine), copy,
-            static_cast<uint8_t>(notify_fail ? 1 : 0)}));
+    msg.notify_fail = 1;
+    simulator_.schedule_in(feedback_delay(*net_gen_, msg.machine), *this,
+                           kNetCopyLost, sim::EventArgs::pack(msg));
   }
 
   void net_on_deliver(const NetMsgArgs& msg) {
-    const auto it = flights_.find(msg.job.id);
-    if (it == flights_.end()) {
-      return;  // late duplicate of an already-resolved flight
-    }
-    Flight& flight = it->second;
-    if (msg.job.attempt != flight.job.attempt) {
-      // A copy of an earlier attempt (a duplicate or a delay-tail
-      // straggler) that arrives after that attempt failed and the retry
-      // reopened the flight: it belongs to no live copy, so it must not
-      // count as this attempt's delivery.
+    Flight& flight = flights_[msg.job.flight];
+    if (flight.generation != msg.generation) {
+      // The flight resolved before this copy arrived (a late duplicate,
+      // or a delay-tail straggler of an attempt that failed and was
+      // retried): it belongs to no live copy.
       return;
     }
+    HS_CHECK(msg.job.attempt == flight.job.attempt,
+             "stale copy of job " << msg.job.id << " matched a generation");
     const uint8_t bit = static_cast<uint8_t>(1u << msg.copy);
     if ((flight.delivered_mask & bit) != 0) {
       return;  // duplicate delivery of this copy — dedup
@@ -1324,7 +1336,7 @@ class RunContext : private sim::EventTarget {
                "pending underflow on flight " << flight.job.id);
       --flight.pending;
       net_record_cancelled(flight, msg.job);
-      net_maybe_gc(it);
+      net_maybe_gc(flight);
       return;
     }
     if (faults_on_ && down_[machine]) {
@@ -1336,10 +1348,10 @@ class RunContext : private sim::EventTarget {
                        msg.job.id, static_cast<int32_t>(machine),
                        static_cast<uint16_t>(msg.job.attempt));
       }
-      simulator_.schedule_in(
-          feedback_delay(fault_delay_gen_, machine), *this, kNetCopyLost,
-          sim::EventArgs::pack(NetMsgArgs{msg.job, msg.machine, msg.copy,
-                                          /*notify_fail=*/1}));
+      NetMsgArgs lost = msg;
+      lost.notify_fail = 1;
+      simulator_.schedule_in(feedback_delay(fault_delay_gen_, machine),
+                             *this, kNetCopyLost, sim::EventArgs::pack(lost));
       return;
     }
     if (!servers_[machine]->arrive(msg.job)) [[unlikely]] {
@@ -1356,7 +1368,7 @@ class RunContext : private sim::EventTarget {
       HS_CHECK(flight.pending > 0,
                "pending underflow on flight " << flight.job.id);
       --flight.pending;
-      net_on_copy_failed(it, measured);
+      net_on_copy_failed(flight, measured);
       return;
     }
     flight.resident_mask |= bit;
@@ -1370,10 +1382,9 @@ class RunContext : private sim::EventTarget {
   }
 
   void net_on_copy_lost(const NetMsgArgs& msg) {
-    const auto it = flights_.find(msg.job.id);
-    HS_CHECK(it != flights_.end(),
-             "loss detected for untracked flight " << msg.job.id);
-    Flight& flight = it->second;
+    Flight& flight = flights_[msg.job.flight];
+    HS_CHECK(flight.generation == msg.generation,
+             "loss detected for resolved flight of job " << msg.job.id);
     HS_CHECK(flight.pending > 0,
              "pending underflow on flight " << flight.job.id);
     --flight.pending;
@@ -1385,35 +1396,31 @@ class RunContext : private sim::EventTarget {
           msg.machine, false, simulator_.now());
     }
     const bool measured = msg.job.arrival_time >= config_.warmup_time();
-    net_on_copy_failed(it, measured);
+    net_on_copy_failed(flight, measured);
   }
 
   /// A copy's fate settled as failure. If a sibling copy is still alive
   /// the flight stays open; otherwise it resolves into the ordinary
   /// retry/drop path.
-  void net_on_copy_failed(std::unordered_map<uint64_t, Flight>::iterator it,
-                          bool measured) {
-    Flight& flight = it->second;
+  void net_on_copy_failed(Flight& flight, bool measured) {
     if (flight.completed) {
-      net_maybe_gc(it);
+      net_maybe_gc(flight);
       return;
     }
     if (flight.pending > 0 || flight.resident_mask != 0) {
       return;  // a sibling copy may still finish the job
     }
     simulator_.cancel(flight.hedge_timer);
-    const queueing::Job job = flight.job;
-    flights_.erase(it);
-    decide_retry(job, measured);
+    decide_retry(flight.job, measured);
+    net_release(flight);
   }
 
   /// A resident copy was crash-evicted (on_fault_event with net on): it
   /// leaves the machine now and its fate settles at loss detection.
   void net_resident_lost(const queueing::Job& job, size_t machine) {
-    const auto it = flights_.find(job.id);
-    HS_CHECK(it != flights_.end(),
+    Flight& flight = flights_[job.flight];
+    HS_CHECK(flight.live() && flight.job.id == job.id,
              "crash evicted untracked flight " << job.id);
-    Flight& flight = it->second;
     HS_CHECK(!flight.completed,
              "completed flight " << job.id << " still resident");
     const uint8_t copy =
@@ -1437,15 +1444,15 @@ class RunContext : private sim::EventTarget {
     simulator_.schedule_in(
         feedback_delay(fault_delay_gen_, machine), *this, kNetCopyLost,
         sim::EventArgs::pack(NetMsgArgs{job, static_cast<uint32_t>(machine),
-                                        copy, /*notify_fail=*/0}));
+                                        flight.generation, copy,
+                                        /*notify_fail=*/0}));
   }
 
-  void net_on_hedge_timer(const queueing::Job& job) {
-    const auto it = flights_.find(job.id);
-    if (it == flights_.end()) {
+  void net_on_hedge_timer(const FlightRef& timer) {
+    Flight& flight = flights_[timer.slot];
+    if (flight.generation != timer.generation) {
       return;
     }
-    Flight& flight = it->second;
     flight.hedge_timer = sim::EventHandle{};
     if (flight.completed) {
       return;
@@ -1478,17 +1485,16 @@ class RunContext : private sim::EventTarget {
     }
     flight.machine[1] = static_cast<uint32_t>(second);
     ++flight.pending;
-    net_send_copy(flight.job, second, /*copy=*/1);
+    net_send_copy(flight, second, /*copy=*/1);
   }
 
   /// First-completion-wins resolution: dedup is structural (the loser is
   /// evicted here, before it can ever complete), the winner's metrics
   /// were already counted by on_completion's common path.
   void net_on_completion(const queueing::Completion& completion) {
-    const auto it = flights_.find(completion.job.id);
-    HS_CHECK(it != flights_.end(),
+    Flight& flight = flights_[completion.job.flight];
+    HS_CHECK(flight.live() && flight.job.id == completion.job.id,
              "completion for untracked flight " << completion.job.id);
-    Flight& flight = it->second;
     HS_CHECK(!flight.completed,
              "duplicate completion for job " << completion.job.id);
     flight.completed = true;
@@ -1519,7 +1525,7 @@ class RunContext : private sim::EventTarget {
     simulator_.cancel(flight.hedge_timer);
     flight.hedge_timer = sim::EventHandle{};
     const size_t scheduler = flight.scheduler;
-    net_maybe_gc(it);  // invalidates `flight`
+    net_maybe_gc(flight);
     if (any_feedback_ && !stale_feedback_ &&
         schedulers_[scheduler]->uses_feedback()) {
       net_send_report(scheduler, static_cast<size_t>(completion.machine),
@@ -1578,14 +1584,18 @@ class RunContext : private sim::EventTarget {
     }
   }
 
-  /// Erase a completed flight once nothing references it any more (no
+  /// Release a completed flight once nothing references it any more (no
   /// copy in transit, none resident).
-  void net_maybe_gc(std::unordered_map<uint64_t, Flight>::iterator it) {
-    const Flight& flight = it->second;
+  void net_maybe_gc(Flight& flight) {
     if (flight.completed && flight.pending == 0 &&
         flight.resident_mask == 0) {
-      flights_.erase(it);
+      net_release(flight);
     }
+  }
+
+  void net_release(Flight& flight) {
+    ++flight.generation;
+    free_flights_.push_back(flight.job.flight);
   }
 
   // ---- Heartbeat failure detection (config.network.heartbeat) ----
@@ -1692,11 +1702,14 @@ class RunContext : private sim::EventTarget {
       return;
     }
     if (any_feedback_ && !stale_feedback_) {
-      const auto it = job_scheduler_.find(completion.job.id);
-      HS_CHECK(it != job_scheduler_.end(),
-               "completion for untracked job " << completion.job.id);
-      const size_t scheduler = it->second;
-      job_scheduler_.erase(it);
+      size_t scheduler = 0;
+      if (track_senders_) {
+        const auto it = job_scheduler_.find(completion.job.id);
+        HS_CHECK(it != job_scheduler_.end(),
+                 "completion for untracked job " << completion.job.id);
+        scheduler = it->second;
+        job_scheduler_.erase(it);
+      }
       if (schedulers_[scheduler]->uses_feedback()) {
         // §4.2: the machine notices the departure at its next 1 Hz load
         // check — U(0,1) s — then a message reaches the scheduler after
@@ -1718,6 +1731,10 @@ class RunContext : private sim::EventTarget {
   SchedulerSplit split_;
   bool any_feedback_ = false;
   size_t split_cursor_ = 0;
+  // Departure reports go back to the job's sender (schedulers share no
+  // state). Only k > 1 schedulers with per-departure reports need the
+  // job -> sender map; one scheduler is always scheduler 0.
+  bool track_senders_ = false;
   std::unordered_map<uint64_t, size_t> job_scheduler_;
   workload::JobSizeModel size_model_;
   rng::Xoshiro256 arrival_gen_;
@@ -1741,7 +1758,8 @@ class RunContext : private sim::EventTarget {
   bool hb_on_ = false;    // heartbeat detector owns the fault signal
   std::optional<rng::Xoshiro256> net_gen_;  // all link-fault draws
   std::vector<char> partitioned_;           // current isolation per machine
-  std::unordered_map<uint64_t, Flight> flights_;
+  std::vector<Flight> flights_;          // slab indexed by Job::flight
+  std::vector<uint32_t> free_flights_;  // slots whose flight resolved
   std::vector<dispatch::HedgedDispatcher*> hedged_;  // per scheduler (null)
   std::vector<HeartbeatState> hb_;
   uint64_t msgs_lost_ = 0;

@@ -98,4 +98,12 @@ bool HedgedDispatcher::uses_fault_feedback() const {
   return inner_->uses_fault_feedback();
 }
 
+size_t HedgedDispatcher::save_state(std::vector<double>& out) const {
+  return inner_->save_state(out);
+}
+
+size_t HedgedDispatcher::restore_state(std::span<const double> state) {
+  return inner_->restore_state(state);
+}
+
 }  // namespace hs::dispatch

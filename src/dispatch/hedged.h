@@ -21,10 +21,12 @@
 // hedge.
 //
 // Composes in any order with FaultAwareDispatcher and
-// CircuitBreakerDispatcher: every hook, including set_available_mask and
-// rebuild_fractions, is forwarded verbatim — so a decorator outside that
-// re-weights a static policy over the survivors reaches the policy
-// through this layer.
+// CircuitBreakerDispatcher: every hook, including set_available_mask,
+// rebuild_fractions and the checkpoint pair, is forwarded verbatim — so
+// a decorator outside that re-weights a static policy over the survivors
+// reaches the policy through this layer, and a snapshot of the stack
+// holds the policy's state. The hedge counters are run statistics, not
+// routing state, and are not checkpointed.
 //
 // Threading: caller-serialized (dispatch/dispatcher.h) — the decorator
 // adds only counters, but picks and counter updates forward into the
@@ -81,6 +83,8 @@ class HedgedDispatcher final : public Dispatcher {
   [[nodiscard]] bool uses_overload_feedback() const override;
   void on_machine_state_report(size_t machine, bool up) override;
   [[nodiscard]] bool uses_fault_feedback() const override;
+  size_t save_state(std::vector<double>& out) const override;
+  size_t restore_state(std::span<const double> state) override;
 
   [[nodiscard]] const HedgingConfig& config() const { return config_; }
 

@@ -19,7 +19,15 @@ struct Job {
   /// `arrival_time` always refers to the original arrival, so response
   /// times of retried jobs include all detection and backoff delays.
   uint32_t attempt = 0;
+  /// Slot of the job's flight on the cluster simulation's asynchronous
+  /// dispatch path. Only cluster/sim.cpp sets or reads it; off that path
+  /// it stays 0. It fills what would be padding, and no persisted format
+  /// stores it.
+  uint32_t flight = 0;
 };
+// 32 bytes, so a network message (a Job plus routing fields and the
+// flight's generation) still fits an event's inline arguments.
+static_assert(sizeof(Job) == 32);
 
 /// Completion record emitted by a server when a job departs.
 struct Completion {

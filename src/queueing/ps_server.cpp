@@ -1,5 +1,6 @@
 #include "queueing/ps_server.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -36,7 +37,8 @@ bool PsServer::arrive(const Job& job) {
   // Under PS every resident job is in service, so residency == service.
   trace(obs::TraceEventKind::kServiceStart, job.id,
         static_cast<uint16_t>(job.attempt), job.size);
-  active_.push(ActiveJob{virtual_work_ + job.size, job});
+  active_.push_back(ActiveJob{virtual_work_ + job.size, job});
+  std::push_heap(active_.begin(), active_.end(), std::greater<>{});
   reschedule_departure();
   return true;
 }
@@ -64,32 +66,54 @@ std::vector<Job> PsServer::evict_all() {
   std::vector<Job> evicted;
   evicted.reserve(active_.size());
   while (!active_.empty()) {
-    evicted.push_back(active_.top().job);
-    active_.pop();
+    evicted.push_back(active_.front().job);
+    pop_leader();
   }
   return evicted;
 }
 
 bool PsServer::evict(uint64_t job_id) {
+  const auto it =
+      std::find_if(active_.begin(), active_.end(),
+                   [job_id](const ActiveJob& a) { return a.job.id == job_id; });
+  if (it == active_.end()) {
+    return false;
+  }
   advance_clock();
-  std::vector<ActiveJob> keep;
-  keep.reserve(active_.size());
-  bool found = false;
-  while (!active_.empty()) {
-    if (!found && active_.top().job.id == job_id) {
-      found = true;
-    } else {
-      keep.push_back(active_.top());
+  const auto hole = static_cast<size_t>(it - active_.begin());
+  *it = active_.back();
+  active_.pop_back();
+  if (hole < active_.size()) {
+    reseat(hole);
+  }
+  reschedule_departure();
+  return true;
+}
+
+uint64_t PsServer::resident_id(size_t i) const {
+  HS_CHECK(i < active_.size(), "heap position " << i << " out of range, "
+                                   << active_.size() << " resident");
+  return active_[i].job.id;
+}
+
+void PsServer::reseat(size_t i) {
+  const ActiveJob moved = active_[i];
+  while (i > 0 && active_[(i - 1) / 2] > moved) {
+    active_[i] = active_[(i - 1) / 2];
+    i = (i - 1) / 2;
+  }
+  const size_t n = active_.size();
+  for (size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && active_[child] > active_[child + 1]) {
+      ++child;
     }
-    active_.pop();
+    if (!(moved > active_[child])) {
+      break;
+    }
+    active_[i] = active_[child];
+    i = child;
   }
-  for (const ActiveJob& a : keep) {
-    active_.push(a);
-  }
-  if (found) {
-    reschedule_departure();
-  }
-  return found;
+  active_[i] = moved;
 }
 
 void PsServer::reschedule_departure() {
@@ -99,7 +123,7 @@ void PsServer::reschedule_departure() {
     pending_departure_ = sim::EventHandle{};
     return;
   }
-  const double min_tag = active_.top().finish_tag;
+  const double min_tag = active_.front().finish_tag;
   // Remaining virtual work for the leader divided by its share rate.
   const double remaining = min_tag - virtual_work_;
   const double dt = std::fmax(remaining, 0.0) *
@@ -119,16 +143,16 @@ void PsServer::on_departure_event() {
   HS_CHECK(!active_.empty(), "departure event on idle PS server");
   // The scheduled leader departs now. Absorb any rounding drift so the
   // virtual clock never runs behind the departing job's tag.
-  const ActiveJob leader = active_.top();
-  active_.pop();
+  const ActiveJob leader = active_.front();
+  pop_leader();
   virtual_work_ = std::fmax(virtual_work_, leader.finish_tag);
   emit_completion(leader.job, simulator_.now());
   // Jobs whose tags coincide (equal finish tags happen with deterministic
   // sizes) depart at the same instant.
   while (!active_.empty() &&
-         active_.top().finish_tag <= virtual_work_ * (1.0 + 1e-15)) {
-    const ActiveJob next = active_.top();
-    active_.pop();
+         active_.front().finish_tag <= virtual_work_ * (1.0 + 1e-15)) {
+    const ActiveJob next = active_.front();
+    pop_leader();
     virtual_work_ = std::fmax(virtual_work_, next.finish_tag);
     emit_completion(next.job, simulator_.now());
   }

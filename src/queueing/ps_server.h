@@ -11,7 +11,8 @@
 // heap work instead of O(n) remaining-time updates.
 #pragma once
 
-#include <queue>
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "queueing/server.h"
@@ -38,10 +39,16 @@ class PsServer final : public Server, private sim::EventTarget {
   /// deterministic) and cancels the pending departure.
   std::vector<Job> evict_all() override;
 
-  /// Hedge-cancellation support: removes one job by id (rebuilding the
-  /// tag heap — eviction is rare, arrivals are not) and reschedules the
-  /// departure for the new leader.
+  /// Hedge-cancellation support: removes one job by id and reschedules
+  /// the departure for the new leader. O(n) to find the job plus an
+  /// O(log n) repair of the tag heap, with no allocation: the last heap
+  /// entry moves into the hole and sifts up or down.
   bool evict(uint64_t job_id) override;
+
+  /// Id of the resident job at tag-heap position `i` (0 departs next;
+  /// queue_length() - 1 is the last slot). For tests, which aim an
+  /// eviction at a given heap position; not part of the Server interface.
+  [[nodiscard]] uint64_t resident_id(size_t i) const;
 
  private:
   struct ActiveJob {
@@ -64,9 +71,20 @@ class PsServer final : public Server, private sim::EventTarget {
   void on_departure_event();
   /// Typed-event entry point (single kind: the next departure).
   void on_event(uint32_t kind, const sim::EventArgs& args) override;
+  /// Remove the heap's leader. Defined in the class so that it inlines
+  /// into the departure path, its hottest caller.
+  void pop_leader() {
+    std::pop_heap(active_.begin(), active_.end(), std::greater<>{});
+    active_.pop_back();
+  }
+  /// Restore the heap property around position `i` after its entry was
+  /// replaced: sift it up while its parent ranks after it, else down.
+  void reseat(size_t i);
 
-  std::priority_queue<ActiveJob, std::vector<ActiveJob>, std::greater<>>
-      active_;
+  /// Min-heap on (finish tag, id) under std::greater<>: the leader sits
+  /// at the front. Ids are unique per server, so the order is total and
+  /// the departure sequence does not depend on the heap's layout.
+  std::vector<ActiveJob> active_;
   double virtual_work_ = 0.0;  // V(t)
   double last_update_ = 0.0;
   double busy_accum_ = 0.0;

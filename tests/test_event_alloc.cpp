@@ -5,7 +5,8 @@
 // rescheduling events performs ZERO heap allocations. These tests pin
 // that with instrumented global operator new/delete — if a std::function
 // or stray container growth sneaks back onto the hot path, the counters
-// catch it.
+// catch it. The last two extend the pin from the engine to whole
+// cluster runs, where a per-job hash node would otherwise go unseen.
 //
 // The counters are only read around explicitly bracketed sections, so
 // the instrumentation does not interfere with gtest's own allocations.
@@ -16,6 +17,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "cluster/config.h"
+#include "cluster/sim.h"
+#include "core/policy.h"
+#include "dispatch/hedged.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "queueing/job.h"
@@ -262,6 +267,86 @@ TEST(EventAllocation, ReservedMetricsSamplingIsAllocationFree) {
   }
   EXPECT_EQ(guard.count(), 0u);
   EXPECT_EQ(registry.sample_count(), 10000u);
+}
+
+struct SteadyState {
+  uint64_t allocations = 0;
+  uint64_t completions = 0;
+};
+
+/// Run `config` to the end and count the allocations made between its
+/// first completion at or after 0.4·T and its first at or after 0.9·T:
+/// by then the event heap, the PS heaps and the flight slab have grown
+/// to their working depth, so every allocation left is per-job work.
+SteadyState steady_state_allocations(hs::cluster::SimulationConfig config,
+                                     hs::dispatch::Dispatcher& dispatcher) {
+  const double open = 0.4 * config.sim_time;
+  const double close = 0.9 * config.sim_time;
+  SteadyState window;
+  uint64_t start = 0;
+  bool opened = false;
+  bool closed = false;
+  config.completion_hook = [&](const hs::queueing::Completion& c, bool) {
+    if (closed || (!opened && c.departure_time < open)) {
+      return;
+    }
+    const uint64_t news = g_news.load(std::memory_order_relaxed);
+    if (!opened) {
+      opened = true;
+      start = news;
+    } else if (c.departure_time >= close) {
+      closed = true;
+      window.allocations = news - start;
+    } else {
+      ++window.completions;
+    }
+  };
+  (void)hs::cluster::run_simulation(config, dispatcher);
+  EXPECT_TRUE(closed);
+  return window;
+}
+
+// Least-Load on the paper's cluster and workload: with one scheduler,
+// every departure report goes to scheduler 0, so nothing is tracked per
+// job.
+TEST(EventAllocation, LeastLoadFullRunIsAllocationFree) {
+  hs::cluster::SimulationConfig config;
+  config.speeds = hs::cluster::ClusterConfig::paper_base().speeds();
+  config.rho = 0.7;
+  config.sim_time = 2e5;
+  config.seed = 1;
+  auto dispatcher = hs::core::make_policy_dispatcher(
+      hs::core::PolicyKind::kLeastLoad, config.speeds, config.rho);
+  const SteadyState window = steady_state_allocations(config, *dispatcher);
+  EXPECT_GT(window.completions, 30000u);
+  EXPECT_EQ(window.allocations, 0u);
+}
+
+// Hedged Least-Load on the asynchronous dispatch path, with lossy and
+// duplicating links, heartbeats and bounded queues: flights live in a
+// reused slab and a losing copy is evicted in place.
+TEST(EventAllocation, HedgedNetworkFullRunIsAllocationFree) {
+  hs::cluster::SimulationConfig config;
+  config.speeds = {4.0, 2.0, 1.0, 1.0};
+  config.rho = 0.7;
+  config.sim_time = 1e5;
+  config.seed = 1;
+  config.workload.arrival_kind = hs::workload::ArrivalKind::kPoisson;
+  config.workload.size_kind = hs::workload::SizeKind::kExponential;
+  config.workload.fixed_or_mean_size = 1.0;
+  config.network.dispatch_link.loss = 0.05;
+  config.network.dispatch_link.duplicate = 0.02;
+  config.network.report_link.loss = 0.05;
+  config.network.heartbeat.interval = 2.0;
+  config.overload.queue_capacity = 64;
+  hs::dispatch::HedgedDispatcher dispatcher(
+      hs::core::make_policy_dispatcher(hs::core::PolicyKind::kLeastLoad,
+                                       config.speeds, config.rho),
+      hs::dispatch::HedgingConfig{5.0});
+  const SteadyState window = steady_state_allocations(config, dispatcher);
+  EXPECT_GT(window.completions, 100000u);
+  EXPECT_GT(dispatcher.issued(), 0u);
+  EXPECT_EQ(window.allocations, 0u);
 }
 
 }  // namespace

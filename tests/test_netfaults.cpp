@@ -5,7 +5,9 @@
 // on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -455,10 +457,213 @@ TEST(ServerEvict, PsEvictionSpeedsUpTheSurvivor) {
   h.sim.schedule_at(1.0, [s] {
     EXPECT_TRUE(s->evict(1));
     EXPECT_FALSE(s->evict(1));  // already gone
+    EXPECT_EQ(s->resident_id(0), 2u);
+    EXPECT_THROW((void)s->resident_id(1), hs::util::CheckError);
   });
   h.sim.run_all();
   ASSERT_EQ(h.departures.size(), 1u);
   EXPECT_NEAR(h.departures[2], 2.5, 1e-9);
+}
+
+struct Departure {
+  uint64_t id;
+  double time;
+};
+
+/// Brute-force processor sharing: every resident job's remaining work,
+/// all of it spent down on every step. O(n) per event and no heap, so it
+/// is an oracle for PsServer's tag heap and its in-place eviction.
+class ReferencePs {
+ public:
+  /// Serve until `t`, appending every departure at or before it.
+  void advance_to(double t, std::vector<Departure>& departures) {
+    while (!jobs_.empty() && speed_ > 0.0) {
+      const auto leader = least();
+      const double work = std::max(leader->remaining, 0.0);
+      const double finish =
+          now_ + work * static_cast<double>(jobs_.size()) / speed_;
+      if (finish > t) {
+        break;
+      }
+      departures.push_back({leader->id, finish});
+      jobs_.erase(leader);
+      spend(work);
+      now_ = finish;
+    }
+    if (!jobs_.empty() && speed_ > 0.0) {
+      spend(speed_ * (t - now_) / static_cast<double>(jobs_.size()));
+    }
+    now_ = t;
+  }
+  void arrive(uint64_t id, double size) { jobs_.push_back({id, size}); }
+  bool evict(uint64_t id) {
+    const auto it = find(id);
+    if (it == jobs_.end()) {
+      return false;
+    }
+    jobs_.erase(it);
+    return true;
+  }
+  void set_speed(double speed) { speed_ = speed; }
+  [[nodiscard]] bool holds(uint64_t id) { return find(id) != jobs_.end(); }
+  /// Remaining work of job `id`; +inf once it has left.
+  [[nodiscard]] double remaining(uint64_t id) {
+    const auto it = find(id);
+    return it == jobs_.end() ? std::numeric_limits<double>::infinity()
+                             : it->remaining;
+  }
+  [[nodiscard]] double least_remaining() { return least()->remaining; }
+
+ private:
+  struct Resident {
+    uint64_t id;
+    double remaining;
+  };
+  std::vector<Resident>::iterator find(uint64_t id) {
+    return std::find_if(jobs_.begin(), jobs_.end(),
+                        [id](const Resident& r) { return r.id == id; });
+  }
+  std::vector<Resident>::iterator least() {
+    return std::min_element(jobs_.begin(), jobs_.end(),
+                            [](const Resident& a, const Resident& b) {
+                              return a.remaining < b.remaining;
+                            });
+  }
+  void spend(double work) {
+    for (Resident& job : jobs_) {
+      job.remaining -= work;
+    }
+  }
+
+  std::vector<Resident> jobs_;
+  double now_ = 0.0;
+  double speed_ = 1.0;
+};
+
+/// Seeded random interleavings of arrivals, evictions (the leader, the
+/// last heap slot, an interior entry, an absent id) and speed changes
+/// (stops and restarts included), at depths that cycle up past 256. The
+/// server must depart the same jobs as the reference, in the same order
+/// except where the reference's own times tie within 1e-9, at the same
+/// times within 1e-9 relative. Between operations its next job to
+/// depart must also be one the reference ranks first (within 1e-9 of
+/// work), which catches a misplaced heap entry as soon as it matters
+/// rather than only if it outlives every eviction.
+TEST(ServerEvict, PsEvictionMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    hs::sim::Simulator sim;
+    hs::queueing::PsServer server(sim, 1.0, 0);
+    std::vector<Departure> got;
+    server.set_completion_callback(
+        [&got](const hs::queueing::Completion& c) {
+          got.push_back({c.job.id, c.departure_time});
+        });
+    ReferencePs reference;
+    std::vector<Departure> want;
+    hs::rng::Xoshiro256 gen(seed);
+    const auto exponential = [&gen](double mean) {
+      return -std::log(gen.next_double_open0()) * mean;
+    };
+    const auto next_departure = [&sim] {
+      return sim.queue().empty() ? -1.0 : sim.queue().next_time();
+    };
+
+    double t = 0.0;
+    double speed = 1.0;
+    uint64_t next_id = 1;
+    size_t max_depth = 0;
+    bool growing = true;
+    std::map<std::string, int> evictions;
+    for (int step = 0; step < 4000; ++step) {
+      t += exponential(0.02);
+      sim.run_until(t);
+      reference.advance_to(t, want);
+      const size_t depth = server.queue_length();
+      max_depth = std::max(max_depth, depth);
+      if (depth >= 300) {
+        growing = false;
+      } else if (depth <= 8) {
+        growing = true;
+      }
+      if (depth > 0) {
+        ASSERT_LE(reference.remaining(server.resident_id(0)),
+                  reference.least_remaining() + 1e-9)
+            << "job " << server.resident_id(0) << " leads at t = " << t;
+      }
+      const double op = gen.next_double();
+      const double arrive_share = growing ? 0.7 : 0.2;
+      if (op < arrive_share || depth == 0) {
+        const double size = 0.05 + exponential(1.0);
+        ASSERT_TRUE(server.arrive({next_id, t, size}));
+        reference.arrive(next_id, size);
+        ++next_id;
+      } else if (op < 0.9) {
+        uint64_t id = 0;
+        switch (gen.next_below(4)) {
+          case 0:
+            id = server.resident_id(0);
+            ++evictions["leader"];
+            break;
+          case 1:
+            id = server.resident_id(depth - 1);
+            ++evictions["last"];
+            break;
+          case 2:
+            id = server.resident_id(
+                depth < 3 ? 0 : 1 + gen.next_below(depth - 2));
+            ++evictions["interior"];
+            break;
+          default: {
+            // A departed, evicted or never-issued id: nothing moves.
+            uint64_t absent = 0;
+            do {
+              absent = gen.next_below(next_id + 1000);
+            } while (reference.holds(absent));
+            const double before = next_departure();
+            EXPECT_FALSE(server.evict(absent));
+            EXPECT_EQ(next_departure(), before);
+            ++evictions["absent"];
+            continue;
+          }
+        }
+        ASSERT_TRUE(server.evict(id));
+        ASSERT_TRUE(reference.evict(id));
+      } else {
+        speed = speed > 0.0 && gen.next_double() < 0.3
+                    ? 0.0
+                    : gen.uniform(0.5, 4.0);
+        server.set_speed(speed);
+        reference.set_speed(speed);
+      }
+    }
+    server.set_speed(1.0);
+    reference.set_speed(1.0);
+    sim.run_all();
+    reference.advance_to(std::numeric_limits<double>::infinity(), want);
+
+    EXPECT_GE(max_depth, 256u);
+    for (const char* kind : {"leader", "last", "interior", "absent"}) {
+      EXPECT_GT(evictions[kind], 50) << kind;
+    }
+    ASSERT_EQ(got.size(), want.size());
+    std::map<uint64_t, double> want_time;
+    for (const Departure& d : want) {
+      want_time[d.id] = d.time;
+    }
+    for (size_t i = 0; i < got.size(); ++i) {
+      const auto it = want_time.find(got[i].id);
+      ASSERT_NE(it, want_time.end()) << "job " << got[i].id;
+      const double tolerance = 1e-9 * it->second;
+      if (got[i].id != want[i].id) {
+        ASSERT_NEAR(it->second, want[i].time, tolerance)
+            << "departure " << i << ": job " << got[i].id
+            << " left before job " << want[i].id;
+      }
+      ASSERT_NEAR(got[i].time, it->second, tolerance)
+          << "departure " << i << " (job " << got[i].id << ")";
+    }
+  }
 }
 
 TEST(ServerEvict, RrEvictsTheRunningJob) {

@@ -351,7 +351,10 @@ TEST(ObservedSimulation, StandardGaugesCoverClusterAndMachines) {
       static_cast<double>(result.dispatched_jobs));
   // Utilization gauges stay in [0, 1]; speed gauges match the config.
   for (size_t m = 0; m < config.speeds.size(); ++m) {
-    const std::string prefix = "m" + std::to_string(m);
+    // Appended, not `"m" + std::to_string(m)`: GCC 12 reports a false
+    // -Wrestrict on that at -O3 (GCC PR 105329).
+    std::string prefix = "m";
+    prefix += std::to_string(m);
     const double util =
         registry.value(last, registry.column(prefix + ".utilization"));
     EXPECT_GE(util, 0.0);

@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,6 +39,7 @@
 #include "alloc/allocation.h"
 #include "core/policy.h"
 #include "dispatch/fault_aware.h"
+#include "dispatch/hedged.h"
 #include "dispatch/least_load.h"
 #include "dispatch/random_dispatcher.h"
 #include "dispatch/smooth_rr.h"
@@ -433,11 +435,13 @@ TEST(ChaosPinTest, IdleHealthLayerDoesNotPerturbPicks) {
 
 // ---- Snapshot / restore -------------------------------------------------
 
-TEST(ChaosSnapshotTest, RestoreResumesBitIdentically) {
-  // Random policy (draws the RNG every pick) — the strictest test of
-  // the restored decision stream.
-  auto original_stack = hs::core::make_policy_dispatcher(
-      hs::core::PolicyKind::kORAN, kSpeeds, 0.7);
+using StackFactory = std::function<std::unique_ptr<hs::dispatch::Dispatcher>()>;
+
+/// Warm a session on a stack from `make_stack`, checkpoint it to disk,
+/// restore it into a fresh stack from the same factory, and require both
+/// sessions to continue with the same picks and counters.
+void expect_restore_resumes_bit_identically(const StackFactory& make_stack) {
+  auto original_stack = make_stack();
   ManualClock original_clock;
   ServingConfig config;
   config.seed = 77;
@@ -459,7 +463,13 @@ TEST(ChaosSnapshotTest, RestoreResumesBitIdentically) {
 
   // Checkpoint → disk → fresh process (fresh identically shaped stack).
   const ServingSnapshot captured = original.capture_snapshot();
-  const std::string path = temp_path("resume.snap");
+  // Every stack passed here routes on learned state, so an empty policy
+  // checkpoint means a layer dropped it.
+  ASSERT_FALSE(captured.policy_state.empty());
+  // One file per stack: ctest runs the tests that share this helper in
+  // parallel processes.
+  const std::string path =
+      temp_path("resume_" + original_stack->name() + ".snap");
   hs::serving::save_snapshot_binary(path, captured);
   const ServingSnapshot loaded = hs::serving::load_snapshot_binary(path);
   EXPECT_EQ(loaded.seed, captured.seed);
@@ -474,8 +484,7 @@ TEST(ChaosSnapshotTest, RestoreResumesBitIdentically) {
   }
   EXPECT_EQ(loaded.outstanding, captured.outstanding);
 
-  auto restored_stack = hs::core::make_policy_dispatcher(
-      hs::core::PolicyKind::kORAN, kSpeeds, 0.7);
+  auto restored_stack = make_stack();
   ManualClock restored_clock(captured.session_time);
   ServingConfig restored_config;
   restored_config.seed = 1;  // overwritten by restore
@@ -503,6 +512,29 @@ TEST(ChaosSnapshotTest, RestoreResumesBitIdentically) {
   }
   EXPECT_EQ(restored.acquired(), original.acquired());
   EXPECT_EQ(restored.released(), original.released());
+}
+
+TEST(ChaosSnapshotTest, RestoreResumesBitIdentically) {
+  // Random policy (draws the RNG every pick) — the strictest test of
+  // the restored decision stream.
+  expect_restore_resumes_bit_identically([] {
+    return hs::core::make_policy_dispatcher(hs::core::PolicyKind::kORAN,
+                                            kSpeeds, 0.7);
+  });
+}
+
+TEST(ChaosSnapshotTest, HedgedStacksResumeBitIdentically) {
+  // The hedging layer routes nothing itself, so its checkpoint is the
+  // wrapped policy's: Least-Load's load estimates, ORR's cadence.
+  for (const auto kind :
+       {hs::core::PolicyKind::kLeastLoad, hs::core::PolicyKind::kORR}) {
+    SCOPED_TRACE(hs::core::policy_name(kind));
+    expect_restore_resumes_bit_identically([kind] {
+      return std::make_unique<hs::dispatch::HedgedDispatcher>(
+          hs::core::make_policy_dispatcher(kind, kSpeeds, 0.7),
+          hs::dispatch::HedgingConfig{5.0});
+    });
+  }
 }
 
 TEST(ChaosSnapshotTest, HealthStateSurvivesTheRoundTrip) {
