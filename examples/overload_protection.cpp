@@ -27,6 +27,7 @@
 #include "cluster/config.h"
 #include "cluster/sim.h"
 #include "core/policy.h"
+#include "dispatch/decorator.h"
 
 namespace {
 
@@ -93,8 +94,8 @@ int main() {
   print_result("full stack", full);
 
   const auto* cb =
-      dynamic_cast<const hs::overload::CircuitBreakerDispatcher*>(
-          breaking.get());
+      hs::dispatch::find_layer<hs::overload::CircuitBreakerDispatcher>(
+          *breaking);
   std::printf("\nBreaker activity: %llu trips, %llu survivor "
               "reallocations, %zu open at end\n",
               static_cast<unsigned long long>(cb->trips()),

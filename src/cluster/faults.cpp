@@ -38,8 +38,9 @@ double duration_draw(rng::Xoshiro256& gen, double mean, ChoiceHook* hook,
 }  // namespace
 
 void RetryPolicy::validate() const {
-  HS_CHECK(max_attempts >= 1,
-           "retry max_attempts must be >= 1, got " << max_attempts);
+  // Attempt indices 0..max_attempts-1 must fit queueing::Job::attempt.
+  HS_CHECK(max_attempts >= 1 && max_attempts <= 65536,
+           "retry max_attempts must be in [1, 65536], got " << max_attempts);
   HS_CHECK(std::isfinite(backoff_initial) && backoff_initial >= 0.0,
            "retry backoff_initial must be finite and >= 0, got "
                << backoff_initial);

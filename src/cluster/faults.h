@@ -35,7 +35,7 @@ class ChoiceHook;
 /// dropped instead of retried if the retry would start more than
 /// `job_timeout` seconds after its original arrival.
 struct RetryPolicy {
-  uint32_t max_attempts = 3;     // total dispatch attempts per job, >= 1
+  uint32_t max_attempts = 3;     // total dispatch attempts per job, 1..65536
   double backoff_initial = 1.0;  // seconds before the first re-dispatch
   double backoff_factor = 2.0;   // multiplier per further attempt, >= 1
   double job_timeout = 0.0;      // seconds since arrival; 0 = no deadline

@@ -209,7 +209,7 @@ struct SimulationResult {
 
   // ---- Adaptation metrics (populated when scheduler 0 carries a
   //      uncertainty::GovernedAdaptiveDispatcher, possibly inside
-  //      fault-aware/circuit-breaker decorators; all zero otherwise) ----
+  //      decorators; all zero otherwise) ----
   uint64_t realloc_commits = 0;    // governor-approved re-allocations
   uint64_t realloc_rejected = 0;   // proposals the governor refused
   uint64_t governor_freezes = 0;   // flap-guard trips

@@ -140,7 +140,7 @@ class Dispatcher {
   /// natively (Least-Load, AdaptiveORR); the default returns false and
   /// leaves routing unchanged — callers then re-weight the dispatcher
   /// over the survivors instead, through a Reweighter and
-  /// rebuild_fractions() (see FaultAwareDispatcher).
+  /// rebuild_fractions() (see MaskingDecorator, dispatch/decorator.h).
   virtual bool set_available_mask(const std::vector<bool>& available) {
     (void)available;
     return false;
@@ -202,8 +202,8 @@ class Dispatcher {
 /// Survivor reallocation for a dispatcher that cannot mask natively:
 /// writes the allocation fractions for the machines with
 /// available[i] == true (zeros elsewhere) into its output buffer, which
-/// FaultAwareDispatcher and CircuitBreakerDispatcher then hand to the
-/// wrapped dispatcher's rebuild_fractions().
+/// MaskingDecorator (FaultAwareDispatcher, CircuitBreakerDispatcher) then
+/// hands to the wrapped dispatcher's rebuild_fractions().
 using Reweighter =
     std::function<void(const std::vector<bool>&, std::vector<double>&)>;
 

@@ -12,18 +12,19 @@
 // The decorator itself is deliberately thin — the timers, the in-flight
 // copy table, and the eviction live in the cluster harness, which is the
 // only place that can observe completions and cancel work. What lives
-// here is (a) the hedging configuration, (b) the pick_hedge pass-through
-// that lets the wrapped policy choose the second machine with its own
-// state (Least-Load picks the second-least-loaded and bumps its
-// estimate), and (c) the hedge counters surfaced in SimulationResult.
-// Hedging only changes behavior when the network layer is on: the
-// synchronous dispatch path never leaves a job in flight long enough to
-// hedge.
+// here is the hedging configuration and the hedge counters surfaced in
+// SimulationResult. The second machine comes from the wrapped policy's
+// own pick_hedge (Least-Load picks the second-least-loaded and bumps its
+// estimate). Hedging only changes behavior when the network layer is on:
+// the synchronous dispatch path never leaves a job in flight long enough
+// to hedge.
 //
 // Composes in any order with FaultAwareDispatcher and
-// CircuitBreakerDispatcher: every hook, including set_available_mask,
-// rebuild_fractions and the checkpoint pair, is forwarded verbatim — so
-// a decorator outside that re-weights a static policy over the survivors
+// CircuitBreakerDispatcher. It overrides only name() and reset() (which
+// zeroes the counters, then resets the wrapped policy); every other
+// hook, including set_available_mask, rebuild_fractions and the
+// checkpoint pair, is dispatch::Decorator's verbatim forward — so a
+// decorator outside that re-weights a static policy over the survivors
 // reaches the policy through this layer, and a snapshot of the stack
 // holds the policy's state. The hedge counters are run statistics, not
 // routing state, and are not checkpointed.
@@ -35,7 +36,7 @@
 
 #include <memory>
 
-#include "dispatch/dispatcher.h"
+#include "dispatch/decorator.h"
 
 namespace hs::dispatch {
 
@@ -55,36 +56,14 @@ struct HedgingConfig {
   void validate() const;
 };
 
-class HedgedDispatcher final : public Dispatcher {
+class HedgedDispatcher final : public Decorator {
  public:
   HedgedDispatcher(std::unique_ptr<Dispatcher> inner,
                    HedgingConfig config);
 
-  [[nodiscard]] size_t pick(rng::Xoshiro256& gen) override;
-  [[nodiscard]] size_t pick_sized(rng::Xoshiro256& gen,
-                                  double size) override;
-  [[nodiscard]] size_t pick_hedge(rng::Xoshiro256& gen, double size,
-                                  size_t exclude) override;
-  [[nodiscard]] bool uses_size() const override;
+  /// Zeroes the hedge counters, then resets the wrapped policy.
   void reset() override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] size_t machine_count() const override;
-
-  void on_arrival(double now) override;
-  void on_departure_report(size_t machine) override;
-  void on_departure_report(size_t machine, double now) override;
-  void on_departure_report(size_t machine, double now, double work) override;
-  void on_load_report(size_t machine, uint64_t queue_length) override;
-  [[nodiscard]] bool uses_feedback() const override;
-
-  bool rebuild_fractions(std::span<const double> fractions) override;
-  bool set_available_mask(const std::vector<bool>& available) override;
-  void on_dispatch_result(size_t machine, bool accepted, double now) override;
-  [[nodiscard]] bool uses_overload_feedback() const override;
-  void on_machine_state_report(size_t machine, bool up) override;
-  [[nodiscard]] bool uses_fault_feedback() const override;
-  size_t save_state(std::vector<double>& out) const override;
-  size_t restore_state(std::span<const double> state) override;
 
   [[nodiscard]] const HedgingConfig& config() const { return config_; }
 
@@ -103,11 +82,7 @@ class HedgedDispatcher final : public Dispatcher {
   /// late arrivals deduped after a win).
   [[nodiscard]] uint64_t cancelled() const { return cancelled_; }
 
-  [[nodiscard]] const Dispatcher& inner() const { return *inner_; }
-  [[nodiscard]] Dispatcher& inner() { return *inner_; }
-
  private:
-  std::unique_ptr<Dispatcher> inner_;
   HedgingConfig config_;
   uint64_t issued_ = 0;
   uint64_t won_ = 0;

@@ -33,62 +33,23 @@ const char* breaker_state_name(BreakerState state) {
 CircuitBreakerDispatcher::CircuitBreakerDispatcher(
     std::unique_ptr<dispatch::Dispatcher> inner,
     const CircuitBreakerConfig& config, dispatch::Reweighter reweighter)
-    : inner_(std::move(inner)),
-      config_(config),
-      reweighter_(std::move(reweighter)) {
+    : MaskingDecorator(std::move(inner), std::move(reweighter)),
+      config_(config) {
   config_.validate();
-  HS_CHECK(inner_ != nullptr, "circuit breaker needs a dispatcher");
-  breakers_.assign(inner_->machine_count(), Breaker{});
-  routable_.assign(inner_->machine_count(), true);
-  outer_mask_.assign(inner_->machine_count(), true);
+  breakers_.assign(own_mask().size(), Breaker{});
   next_reopen_time_ = kNoReopen;
-  native_mask_ = inner_->set_available_mask(routable_);
-  HS_CHECK(native_mask_ || reweighter_,
-           "inner dispatcher \""
-               << inner_->name()
-               << "\" does not support masking and no reweighter was given");
-}
-
-size_t CircuitBreakerDispatcher::pick(rng::Xoshiro256& gen) {
-  return inner_->pick(gen);
-}
-
-size_t CircuitBreakerDispatcher::pick_sized(rng::Xoshiro256& gen,
-                                            double size) {
-  return inner_->pick_sized(gen, size);
-}
-
-size_t CircuitBreakerDispatcher::pick_hedge(rng::Xoshiro256& gen, double size,
-                                            size_t exclude) {
-  return inner_->pick_hedge(gen, size, exclude);
-}
-
-bool CircuitBreakerDispatcher::uses_size() const {
-  return inner_->uses_size();
 }
 
 void CircuitBreakerDispatcher::reset() {
   breakers_.assign(breakers_.size(), Breaker{});
-  routable_.assign(routable_.size(), true);
-  outer_mask_.assign(outer_mask_.size(), true);
   next_reopen_time_ = kNoReopen;
   last_now_ = 0.0;
   trips_ = 0;
-  rebuilds_ = 0;
-  inner_->reset();
-  if (native_mask_) {
-    inner_->set_available_mask(routable_);
-  } else {
-    reweight(routable_);  // full-availability fractions
-  }
+  MaskingDecorator::reset();
 }
 
 std::string CircuitBreakerDispatcher::name() const {
-  return "circuit-breaker(" + inner_->name() + ")";
-}
-
-size_t CircuitBreakerDispatcher::machine_count() const {
-  return breakers_.size();
+  return "circuit-breaker(" + inner().name() + ")";
 }
 
 void CircuitBreakerDispatcher::on_arrival(double now) {
@@ -98,7 +59,7 @@ void CircuitBreakerDispatcher::on_arrival(double now) {
   if (now >= next_reopen_time_) {
     maybe_half_open(now);
   }
-  inner_->on_arrival(now);
+  MaskingDecorator::on_arrival(now);
 }
 
 void CircuitBreakerDispatcher::maybe_half_open(double now) {
@@ -121,33 +82,11 @@ void CircuitBreakerDispatcher::maybe_half_open(double now) {
   }
 }
 
-void CircuitBreakerDispatcher::on_departure_report(size_t machine) {
-  inner_->on_departure_report(machine);
-}
-
-void CircuitBreakerDispatcher::on_departure_report(size_t machine,
-                                                   double now) {
-  inner_->on_departure_report(machine, now);
-}
-
-void CircuitBreakerDispatcher::on_departure_report(size_t machine, double now,
-                                                   double work) {
-  inner_->on_departure_report(machine, now, work);
-}
-
-void CircuitBreakerDispatcher::on_load_report(size_t machine,
-                                              uint64_t queue_length) {
-  inner_->on_load_report(machine, queue_length);
-}
-
-bool CircuitBreakerDispatcher::uses_feedback() const {
-  return inner_->uses_feedback();
-}
-
 void CircuitBreakerDispatcher::on_dispatch_result(size_t machine,
                                                   bool accepted, double now) {
   HS_CHECK(machine < breakers_.size(),
            "machine index out of range: " << machine);
+  MaskingDecorator::on_dispatch_result(machine, accepted, now);
   last_now_ = now;
   Breaker& b = breakers_[machine];
   if (accepted) {
@@ -178,11 +117,9 @@ void CircuitBreakerDispatcher::on_dispatch_result(size_t machine,
 
 void CircuitBreakerDispatcher::on_machine_state_report(size_t machine,
                                                        bool up) {
-  // Forward to the inner dispatcher (Least-Load under a breaker may
-  // still want crash reports); an explicit crash report also trips the
-  // breaker instantly — no need to burn trip_threshold probe jobs on a
-  // machine known to be down.
-  inner_->on_machine_state_report(machine, up);
+  // Forward first: a layer below (a fault decorator, Least-Load) may
+  // consume crash reports too.
+  MaskingDecorator::on_machine_state_report(machine, up);
   HS_CHECK(machine < breakers_.size(),
            "machine index out of range: " << machine);
   if (!up && breakers_[machine].state == BreakerState::kClosed) {
@@ -214,10 +151,10 @@ void CircuitBreakerDispatcher::transition(size_t machine, BreakerState to,
   b.state = to;
   b.consecutive_failures = 0;
   b.probe_successes = 0;
+  own_mask()[machine] = to != BreakerState::kOpen;  // routable unless Open
   switch (to) {
     case BreakerState::kOpen:
       b.reopen_at = now + config_.cooldown;
-      routable_[machine] = false;
       next_reopen_time_ = std::min(next_reopen_time_, b.reopen_at);
       if (trace_ != nullptr) [[unlikely]] {
         trace_->record(now, obs::TraceEventKind::kBreakerOpen,
@@ -226,7 +163,6 @@ void CircuitBreakerDispatcher::transition(size_t machine, BreakerState to,
       }
       break;
     case BreakerState::kHalfOpen:
-      routable_[machine] = true;
       if (trace_ != nullptr) [[unlikely]] {
         trace_->record(now, obs::TraceEventKind::kBreakerHalfOpen,
                        obs::TraceSink::kNoJob,
@@ -234,7 +170,6 @@ void CircuitBreakerDispatcher::transition(size_t machine, BreakerState to,
       }
       break;
     case BreakerState::kClosed:
-      routable_[machine] = true;
       if (trace_ != nullptr) [[unlikely]] {
         trace_->record(now, obs::TraceEventKind::kBreakerClose,
                        obs::TraceSink::kNoJob,
@@ -242,46 +177,6 @@ void CircuitBreakerDispatcher::transition(size_t machine, BreakerState to,
       }
       break;
   }
-}
-
-bool CircuitBreakerDispatcher::set_available_mask(
-    const std::vector<bool>& available) {
-  HS_CHECK(available.size() == routable_.size(),
-           "availability mask size " << available.size()
-                                     << " != machine count "
-                                     << routable_.size());
-  outer_mask_ = available;
-  apply_mask();
-  return true;
-}
-
-void CircuitBreakerDispatcher::apply_mask() {
-  effective_.assign(routable_.size(), false);
-  size_t usable = 0;
-  for (size_t i = 0; i < routable_.size(); ++i) {
-    effective_[i] = routable_[i] && outer_mask_[i];
-    usable += effective_[i] ? 1 : 0;
-  }
-  if (native_mask_) {
-    inner_->set_available_mask(effective_);
-    return;
-  }
-  if (usable == 0) {
-    // Every breaker is open (or masked from above): nothing useful to
-    // re-weight over. Keep the previous routing — jobs fail fast and
-    // their outcomes drive the half-open probes (mirrors
-    // FaultAwareDispatcher's all-down case).
-    return;
-  }
-  reweight(effective_);
-  ++rebuilds_;
-}
-
-void CircuitBreakerDispatcher::reweight(const std::vector<bool>& mask) {
-  reweighter_(mask, fractions_scratch_);
-  const bool accepted = inner_->rebuild_fractions(fractions_scratch_);
-  HS_CHECK(accepted, "inner dispatcher \"" << inner_->name()
-                                           << "\" declined rebuild_fractions");
 }
 
 BreakerState CircuitBreakerDispatcher::state(size_t machine) const {
@@ -308,7 +203,7 @@ size_t CircuitBreakerDispatcher::save_state(std::vector<double>& out) const {
   }
   out.push_back(next_reopen_time_);
   out.push_back(last_now_);
-  return 4 * n + 2 + inner_->save_state(out);
+  return 4 * n + 2 + inner().save_state(out);
 }
 
 size_t CircuitBreakerDispatcher::restore_state(std::span<const double> state) {
@@ -341,7 +236,7 @@ size_t CircuitBreakerDispatcher::restore_state(std::span<const double> state) {
     b.consecutive_failures = static_cast<size_t>(state[4 * i + 1]);
     b.probe_successes = static_cast<size_t>(state[4 * i + 2]);
     b.reopen_at = state[4 * i + 3];
-    routable_[i] = b.state != BreakerState::kOpen;
+    own_mask()[i] = b.state != BreakerState::kOpen;
   }
   next_reopen_time_ = state[4 * n];
   last_now_ = state[4 * n + 1];
@@ -349,7 +244,7 @@ size_t CircuitBreakerDispatcher::restore_state(std::span<const double> state) {
   // re-weight resets the inner routing state, so the restored state must
   // land after it.
   apply_mask();
-  return own + inner_->restore_state(state.subspan(own));
+  return own + inner().restore_state(state.subspan(own));
 }
 
 }  // namespace hs::overload

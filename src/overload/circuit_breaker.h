@@ -5,10 +5,10 @@
 // infers machine health from dispatch *outcomes*. A machine that keeps
 // rejecting (bounded queue full) or losing (crashed but not yet
 // reported) jobs trips its breaker Open after `trip_threshold`
-// consecutive failures and is routed around, using the same two
-// composition modes as the fault decorator — native masking for
-// Least-Load-style dispatchers, an in-place survivor Reweighter for the
-// static paper policies. After `cooldown` simulated seconds an Open
+// consecutive failures and is routed around, using the survivor mask
+// both decorators share (dispatch::MaskingDecorator) — native masking
+// for Least-Load-style dispatchers, an in-place survivor Reweighter for
+// the static paper policies. After `cooldown` simulated seconds an Open
 // breaker Half-Opens: the machine rejoins the routing set, and
 // `probe_successes` consecutive accepted jobs close the breaker while a
 // single failure re-opens it (restarting the cooldown).
@@ -22,16 +22,23 @@
 //
 // When every breaker is open the decorator keeps the previous routing —
 // jobs fail fast and feed the half-open probes (mirrors the fault
-// decorator's all-down behavior). core::make_circuit_breaker_dispatcher
-// wires the reweighter for the paper's policies; docs/FAULT_MODEL.md §6
-// discusses the semantics.
+// decorator's all-down behavior).
+//
+// Arrivals, dispatch outcomes and crash reports also reach the layer
+// below (arrivals after the cooldown check, the other two before the
+// breaker acts), so a governed adaptive dispatcher underneath still
+// undoes a bounced dispatch's busy time. Apart from those three, name,
+// reset, the mask pair (MaskingDecorator) and the checkpoint pair, every
+// hook is dispatch::Decorator's verbatim forward.
+// core::make_circuit_breaker_dispatcher wires the reweighter for the
+// paper's policies; docs/FAULT_MODEL.md §6 discusses the semantics.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "dispatch/dispatcher.h"
+#include "dispatch/decorator.h"
 #include "obs/trace.h"
 
 namespace hs::overload {
@@ -52,7 +59,7 @@ enum class BreakerState : uint8_t { kClosed, kOpen, kHalfOpen };
 
 [[nodiscard]] const char* breaker_state_name(BreakerState state);
 
-class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
+class CircuitBreakerDispatcher final : public dispatch::MaskingDecorator {
  public:
   /// Native masking when `inner` accepts set_available_mask; otherwise
   /// `reweighter` is required (same contract as FaultAwareDispatcher)
@@ -61,42 +68,22 @@ class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
                            const CircuitBreakerConfig& config,
                            dispatch::Reweighter reweighter = {});
 
-  [[nodiscard]] size_t pick(rng::Xoshiro256& gen) override;
-  [[nodiscard]] size_t pick_sized(rng::Xoshiro256& gen,
-                                  double size) override;
-  [[nodiscard]] size_t pick_hedge(rng::Xoshiro256& gen, double size,
-                                  size_t exclude) override;
-  [[nodiscard]] bool uses_size() const override;
   void reset() override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] size_t machine_count() const override;
 
+  /// Half-Opens every breaker whose cooldown has expired, then forwards.
   void on_arrival(double now) override;
-  void on_departure_report(size_t machine) override;
-  void on_departure_report(size_t machine, double now) override;
-  void on_departure_report(size_t machine, double now, double work) override;
-  void on_load_report(size_t machine, uint64_t queue_length) override;
-  [[nodiscard]] bool uses_feedback() const override;
 
+  /// Forwards the outcome (a layer below may consume it too), then
+  /// counts it against the machine's breaker.
   void on_dispatch_result(size_t machine, bool accepted, double now) override;
   [[nodiscard]] bool uses_overload_feedback() const override { return true; }
 
-  /// Also treat fault-layer crash reports as instant trips (a crashed
-  /// machine should not wait for trip_threshold rejected probes), and
-  /// recovery reports as instant Half-Opens (skip the remaining
-  /// cooldown; the probe jobs confirm the recovery).
+  /// Forwards the report, then treats a crash report as an instant trip
+  /// (a crashed machine should not wait for trip_threshold rejected
+  /// probes) and a recovery report as an instant Half-Open (skip the
+  /// remaining cooldown; the probe jobs confirm the recovery).
   void on_machine_state_report(size_t machine, bool up) override;
-  [[nodiscard]] bool uses_fault_feedback() const override {
-    return inner_->uses_fault_feedback();
-  }
-
-  /// Native masking on behalf of an *outer* decorator (a fault layer or
-  /// hedging wrapper stacked on top): the outer mask is ANDed with the
-  /// breaker's own routable set before being pushed down, so
-  /// Hedged/FaultAware/CircuitBreaker compose in any order. Always
-  /// returns true — the decorator absorbs the mask even when the inner
-  /// dispatcher is re-weighted instead.
-  bool set_available_mask(const std::vector<bool>& available) override;
 
   /// Attach a trace sink for kBreakerOpen/kBreakerHalfOpen/kBreakerClose
   /// records (null detaches).
@@ -112,12 +99,6 @@ class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
   [[nodiscard]] size_t open_count() const;
   /// Breaker trips (Closed/Half-Open → Open) since construction/reset.
   [[nodiscard]] uint64_t trips() const { return trips_; }
-  /// Inner-dispatcher re-weights since construction/reset (survivor
-  /// reallocation only).
-  [[nodiscard]] uint64_t rebuilds() const { return rebuilds_; }
-  [[nodiscard]] const dispatch::Dispatcher& inner() const { return *inner_; }
-  /// Mutable access for decorator-aware wiring.
-  [[nodiscard]] dispatch::Dispatcher& inner() { return *inner_; }
 
  private:
   struct Breaker {
@@ -129,27 +110,16 @@ class CircuitBreakerDispatcher final : public dispatch::Dispatcher {
 
   void trip(size_t machine, double now);
   void transition(size_t machine, BreakerState to, double now);
-  void apply_mask();
-  /// Survivor fractions for `mask` into the inner dispatcher, in place.
-  void reweight(const std::vector<bool>& mask);
   void maybe_half_open(double now);
 
-  std::unique_ptr<dispatch::Dispatcher> inner_;
   CircuitBreakerConfig config_;
-  dispatch::Reweighter reweighter_;
   std::vector<Breaker> breakers_;
-  std::vector<bool> routable_;    // state != kOpen
-  std::vector<bool> outer_mask_;  // restriction imposed from above
-  std::vector<bool> effective_;   // scratch: routable_ AND outer_mask_
-  std::vector<double> fractions_scratch_;  // reweighter output buffer
   obs::TraceSink* trace_ = nullptr;
   // Earliest reopen_at over Open breakers (+inf when none are open):
   // lets on_arrival() skip the scan in the common all-closed case.
   double next_reopen_time_ = 0.0;
   double last_now_ = 0.0;  // most recent time seen through any hook
-  bool native_mask_ = false;
   uint64_t trips_ = 0;
-  uint64_t rebuilds_ = 0;
 };
 
 }  // namespace hs::overload

@@ -18,11 +18,17 @@ struct Job {
   /// each time a crash loses the job and the scheduler re-dispatches it.
   /// `arrival_time` always refers to the original arrival, so response
   /// times of retried jobs include all detection and backoff delays.
-  uint32_t attempt = 0;
+  /// 16 bits, like obs::TraceRecord's copy (RetryPolicy caps
+  /// max_attempts at 65536).
+  uint16_t attempt = 0;
+  /// Index of the scheduler that dispatched this attempt, so a departure
+  /// report goes back to its sender (cluster::run_simulation_multi caps
+  /// the scheduler count at 65535). Only cluster/sim.cpp sets or reads
+  /// it.
+  uint16_t scheduler = 0;
   /// Slot of the job's flight on the cluster simulation's asynchronous
   /// dispatch path. Only cluster/sim.cpp sets or reads it; off that path
-  /// it stays 0. It fills what would be padding, and no persisted format
-  /// stores it.
+  /// it stays 0. No persisted format stores it or `scheduler`.
   uint32_t flight = 0;
 };
 // 32 bytes, so a network message (a Job plus routing fields and the

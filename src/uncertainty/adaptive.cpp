@@ -360,15 +360,16 @@ size_t GovernedAdaptiveDispatcher::save_state(std::vector<double>& out) const {
   size_t written = 3 + n + bank_.save_state(out);
   const auto& f = allocation_->fractions();
   out.insert(out.end(), f.begin(), f.end());
-  return written + n + inner_->save_state(out);
+  written += n + governor_.save_state(out);
+  return written + inner_->save_state(out);
 }
 
 size_t GovernedAdaptiveDispatcher::restore_state(
     std::span<const double> state) {
   const size_t n = believed_speeds_.size();
   const size_t bank_len = 4 + 5 * n;
-  const size_t own = 3 + n + bank_len + n;
-  if (state.size() < own) {
+  const size_t fixed = 3 + n + bank_len + n;  // before the governor block
+  if (state.size() < fixed) {
     return 0;
   }
   const double rho = state[0];
@@ -382,7 +383,12 @@ size_t GovernedAdaptiveDispatcher::restore_state(
       return 0;
     }
   }
-  if (bank_.restore_state(state.subspan(3 + n, bank_len)) != bank_len) {
+  // Restore the governor into a copy first, so a malformed block leaves
+  // this dispatcher unchanged.
+  ReallocationGovernor governor = governor_;
+  const size_t governor_len = governor.restore_state(state.subspan(fixed));
+  if (governor_len == 0 ||
+      bank_.restore_state(state.subspan(3 + n, bank_len)) != bank_len) {
     return 0;
   }
   assumed_rho_ = rho;
@@ -393,6 +399,8 @@ size_t GovernedAdaptiveDispatcher::restore_state(
     available_[i] = state[3 + i] == 1.0;
   }
   allocation_->assign_exact(state.subspan(3 + n + bank_len, n));
+  governor_ = std::move(governor);
+  const size_t own = fixed + governor_len;
   return own + inner_->restore_state(state.subspan(own));
 }
 

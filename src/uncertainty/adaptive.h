@@ -113,11 +113,12 @@ class GovernedAdaptiveDispatcher final : public dispatch::Dispatcher {
   void set_trace_sink(obs::TraceSink* sink) { trace_ = sink; }
 
   /// Checkpoint: the learned state — ρ̂, estimator bank, availability,
-  /// committed fractions, inner round-robin cadence — so a restarted
-  /// process resumes with learned rates instead of cold priors. The
-  /// governor's dwell/budget bookkeeping deliberately restarts fresh: it
-  /// is a rate limiter, not learned state, and restarting it conservative
-  /// (the first post-restore re-allocation waits out a full dwell).
+  /// committed fractions — then the governor's commit history, freeze
+  /// and counters, then the inner round-robin cadence. A restarted
+  /// process resumes with learned rates instead of cold priors, and its
+  /// governor gates the next proposal exactly as the saved one would
+  /// (a fresh governor would commit the first proposal at once, since
+  /// the dwell gate applies only after a commit).
   size_t save_state(std::vector<double>& out) const override;
   size_t restore_state(std::span<const double> state) override;
 

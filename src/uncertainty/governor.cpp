@@ -126,4 +126,66 @@ void ReallocationGovernor::reset() {
   freezes_ = 0;
 }
 
+size_t ReallocationGovernor::save_state(std::vector<double>& out) const {
+  out.push_back(static_cast<double>(commit_times_.size()));
+  out.insert(out.end(), commit_times_.begin(), commit_times_.end());
+  out.push_back(last_commit_);
+  out.push_back(has_committed_ ? 1.0 : 0.0);
+  out.push_back(frozen_ ? 1.0 : 0.0);
+  out.push_back(frozen_until_);
+  out.push_back(static_cast<double>(proposals_));
+  out.push_back(static_cast<double>(commits_));
+  out.push_back(static_cast<double>(freezes_));
+  return commit_times_.size() + 8;
+}
+
+size_t ReallocationGovernor::restore_state(std::span<const double> state) {
+  const auto is_count = [](double v) {
+    return v >= 0.0 && v <= 0x1p53 && v == std::floor(v);
+  };
+  const auto is_flag = [](double v) { return v == 0.0 || v == 1.0; };
+  if (state.empty() || !is_count(state[0])) {
+    return 0;
+  }
+  const auto count = static_cast<size_t>(state[0]);
+  const size_t length = count + 8;
+  if (state.size() < length) {
+    return 0;
+  }
+  const std::span<const double> times = state.subspan(1, count);
+  const std::span<const double> tail = state.subspan(1 + count, 7);
+  const double last_commit = tail[0];
+  const double proposals = tail[4];
+  const double commits = tail[5];
+  const double freezes = tail[6];
+  for (const double t : times) {
+    if (!std::isfinite(t)) {
+      return 0;
+    }
+  }
+  // The invariants consider() and reset() keep: the history ends at the
+  // last commit, commits and freezes are disjoint outcomes of distinct
+  // proposals, and a governor that never committed has no history.
+  if (!std::isfinite(last_commit) || !is_flag(tail[1]) ||
+      !is_flag(tail[2]) || !std::isfinite(tail[3]) || !is_count(proposals) ||
+      !is_count(commits) || !is_count(freezes) ||
+      commits + freezes > proposals ||
+      static_cast<double>(count) > commits ||
+      (tail[1] == 1.0) != (commits > 0.0) ||
+      (count > 0 && times.back() != last_commit) ||
+      (tail[1] == 0.0 && last_commit != 0.0) ||
+      (tail[2] == 1.0 && freezes == 0.0)) {
+    return 0;
+  }
+  commit_times_.assign(times.begin(), times.end());
+  last_commit_ = last_commit;
+  has_committed_ = tail[1] == 1.0;
+  frozen_ = tail[2] == 1.0;
+  frozen_until_ = tail[3];
+  proposals_ = static_cast<uint64_t>(proposals);
+  commits_ = static_cast<uint64_t>(commits);
+  freezes_ = static_cast<uint64_t>(freezes);
+  return length;
+}
+
 }  // namespace hs::uncertainty

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace hs::uncertainty {
@@ -91,6 +92,17 @@ class ReallocationGovernor {
   [[nodiscard]] const GovernorConfig& config() const { return config_; }
 
   void reset();
+
+  /// Checkpoint: the commit history (its count, then the times), the
+  /// last commit, the has-committed and frozen flags, the freeze
+  /// deadline and the proposal/commit/freeze counters — everything
+  /// consider() reads, so a restored governor gates the next proposal
+  /// exactly as the saved one would. Returns the values appended.
+  size_t save_state(std::vector<double>& out) const;
+  /// Inverse of save_state(): validates the whole block before mutating
+  /// and returns the values consumed, or 0 (governor unchanged) when the
+  /// block is malformed or inconsistent.
+  size_t restore_state(std::span<const double> state);
 
  private:
   /// Commits inside the trailing window ending at `now`.

@@ -12,6 +12,7 @@
 // field, proving the case actually exercises the field it names.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
@@ -19,6 +20,8 @@
 
 #include "cluster/faults.h"
 #include "cluster/netfaults.h"
+#include "cluster/sim.h"
+#include "dispatch/least_load.h"
 #include "overload/admission.h"
 #include "overload/config.h"
 #include "serving/health.h"
@@ -119,6 +122,40 @@ TEST(ConfigValidationSweep, FaultConfigIntegerFields) {
   hs::cluster::FaultConfig config = valid_faults();
   config.retry.max_attempts = 0;
   EXPECT_THROW(config.validate(3, 100.0), CheckError);
+  // Attempt indices must fit the job record's 16-bit attempt field.
+  run_sweep({
+      {"retry.max_attempts",
+       [](double v) {
+         hs::cluster::FaultConfig c = valid_faults();
+         c.retry.max_attempts = static_cast<uint32_t>(v);
+         c.validate(3, 100.0);
+       },
+       {0.0, 65537.0, 4e9},
+       {1.0, 65536.0}},
+  });
+}
+
+// ---- Simulation entry points ----------------------------------------------
+
+TEST(ConfigValidationSweep, SchedulerCountFitsTheJobRecord) {
+  // Each job records its sender in 16 bits, so run_simulation_multi
+  // takes at most 65535 schedulers. One dispatcher stands in for all of
+  // them: the count is checked before any is touched.
+  hs::dispatch::LeastLoadDispatcher dispatcher({1.0, 2.0});
+  run_sweep({
+      {"run_simulation_multi schedulers",
+       [&dispatcher](double v) {
+         hs::cluster::SimulationConfig config;
+         config.speeds = {1.0, 2.0};
+         config.rho = 0.5;
+         config.sim_time = 5.0;
+         const std::vector<hs::dispatch::Dispatcher*> schedulers(
+             static_cast<size_t>(v), &dispatcher);
+         (void)hs::cluster::run_simulation_multi(config, schedulers);
+       },
+       {65536.0, 70000.0},
+       {1.0, 65535.0}},
+  });
 }
 
 // ---- NetworkConfig -------------------------------------------------------

@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "cluster/config.h"
 #include "cluster/sim.h"
@@ -278,8 +280,9 @@ struct SteadyState {
 /// first completion at or after 0.4·T and its first at or after 0.9·T:
 /// by then the event heap, the PS heaps and the flight slab have grown
 /// to their working depth, so every allocation left is per-job work.
-SteadyState steady_state_allocations(hs::cluster::SimulationConfig config,
-                                     hs::dispatch::Dispatcher& dispatcher) {
+SteadyState steady_state_allocations(
+    hs::cluster::SimulationConfig config,
+    const std::vector<hs::dispatch::Dispatcher*>& schedulers) {
   const double open = 0.4 * config.sim_time;
   const double close = 0.9 * config.sim_time;
   SteadyState window;
@@ -301,14 +304,18 @@ SteadyState steady_state_allocations(hs::cluster::SimulationConfig config,
       ++window.completions;
     }
   };
-  (void)hs::cluster::run_simulation(config, dispatcher);
+  (void)hs::cluster::run_simulation_multi(config, schedulers);
   EXPECT_TRUE(closed);
   return window;
 }
 
-// Least-Load on the paper's cluster and workload: with one scheduler,
-// every departure report goes to scheduler 0, so nothing is tracked per
-// job.
+SteadyState steady_state_allocations(hs::cluster::SimulationConfig config,
+                                     hs::dispatch::Dispatcher& dispatcher) {
+  return steady_state_allocations(std::move(config), {&dispatcher});
+}
+
+// Least-Load on the paper's cluster and workload, with per-departure
+// reports.
 TEST(EventAllocation, LeastLoadFullRunIsAllocationFree) {
   hs::cluster::SimulationConfig config;
   config.speeds = hs::cluster::ClusterConfig::paper_base().speeds();
@@ -320,6 +327,29 @@ TEST(EventAllocation, LeastLoadFullRunIsAllocationFree) {
   const SteadyState window = steady_state_allocations(config, *dispatcher);
   EXPECT_GT(window.completions, 30000u);
   EXPECT_EQ(window.allocations, 0u);
+}
+
+// Two Least-Load front-ends on the same cluster: each departure report
+// goes back to the job's sender, which the job record carries, so no
+// per-job state is kept on the side (a sender map cost one allocation
+// per completion). The window still sees the PS heaps' last high-water
+// doublings: split across two front-ends, Least-Load gives the slow
+// machines their second to fourth concurrent job for the first time late
+// in the run. A probe traced all 3 at this seed to PsServer::arrive.
+TEST(EventAllocation, MultiSchedulerFullRunIsAllocationFree) {
+  hs::cluster::SimulationConfig config;
+  config.speeds = hs::cluster::ClusterConfig::paper_base().speeds();
+  config.rho = 0.7;
+  config.sim_time = 2e5;
+  config.seed = 1;
+  auto first = hs::core::make_policy_dispatcher(
+      hs::core::PolicyKind::kLeastLoad, config.speeds, config.rho);
+  auto second = hs::core::make_policy_dispatcher(
+      hs::core::PolicyKind::kLeastLoad, config.speeds, config.rho);
+  const SteadyState window =
+      steady_state_allocations(config, {first.get(), second.get()});
+  EXPECT_GT(window.completions, 30000u);
+  EXPECT_LE(window.allocations, 3u);
 }
 
 // Hedged Least-Load on the asynchronous dispatch path, with lossy and

@@ -22,6 +22,7 @@
 // the logged seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -38,6 +39,7 @@
 
 #include "alloc/allocation.h"
 #include "core/policy.h"
+#include "dispatch/decorator.h"
 #include "dispatch/fault_aware.h"
 #include "dispatch/hedged.h"
 #include "dispatch/least_load.h"
@@ -52,6 +54,7 @@
 #include "serving/serving_dispatcher.h"
 #include "serving/snapshot.h"
 #include "serving/trace_io.h"
+#include "uncertainty/adaptive.h"
 #include "util/check.h"
 #include "util/env.h"
 
@@ -439,8 +442,12 @@ using StackFactory = std::function<std::unique_ptr<hs::dispatch::Dispatcher>()>;
 
 /// Warm a session on a stack from `make_stack`, checkpoint it to disk,
 /// restore it into a fresh stack from the same factory, and require both
-/// sessions to continue with the same picks and counters.
-void expect_restore_resumes_bit_identically(const StackFactory& make_stack) {
+/// sessions to continue with the same picks and counters. `at_checkpoint`
+/// inspects the warmed stack just before the capture.
+void expect_restore_resumes_bit_identically(
+    const StackFactory& make_stack,
+    const std::function<void(hs::dispatch::Dispatcher&)>& at_checkpoint =
+        {}) {
   auto original_stack = make_stack();
   ManualClock original_clock;
   ServingConfig config;
@@ -460,6 +467,9 @@ void expect_restore_resumes_bit_identically(const StackFactory& make_stack) {
     }
   }
   ASSERT_EQ(in_flight.size(), 3u);
+  if (at_checkpoint) {
+    at_checkpoint(*original_stack);
+  }
 
   // Checkpoint → disk → fresh process (fresh identically shaped stack).
   const ServingSnapshot captured = original.capture_snapshot();
@@ -535,6 +545,70 @@ TEST(ChaosSnapshotTest, HedgedStacksResumeBitIdentically) {
           hs::dispatch::HedgingConfig{5.0});
     });
   }
+}
+
+/// A governed adaptive ORR that believes every backend has speed 1
+/// (they are kSpeeds) and re-estimates fast, with a dwell gate longer
+/// than the session: after its first committed re-allocation, only the
+/// governor's saved history keeps it from committing again at once.
+std::unique_ptr<hs::dispatch::Dispatcher> make_governed_stack() {
+  hs::uncertainty::AdaptiveOptions options;
+  options.mean_job_size = 1.0;
+  options.time_constant = 1.0;
+  options.reestimate_every = 32;
+  options.governor.min_improvement = 0.0;
+  options.governor.min_dwell = 1000.0;
+  return hs::core::make_adaptive_dispatcher(
+      hs::core::PolicyKind::kORR, std::vector<double>(kSpeeds.size(), 1.0),
+      0.7, options);
+}
+
+const hs::uncertainty::GovernedAdaptiveDispatcher& governed_core(
+    hs::dispatch::Dispatcher& stack) {
+  const auto* core =
+      hs::dispatch::find_layer<hs::uncertainty::GovernedAdaptiveDispatcher>(
+          stack);
+  HS_CHECK(core != nullptr, "no governed core in " << stack.name());
+  return *core;
+}
+
+TEST(ChaosSnapshotTest, GovernedStackResumesBitIdentically) {
+  expect_restore_resumes_bit_identically(
+      make_governed_stack, [](hs::dispatch::Dispatcher& stack) {
+        // The dwell gate is live: one re-allocation committed.
+        EXPECT_EQ(governed_core(stack).governor().commits(), 1u);
+      });
+}
+
+TEST(ChaosSnapshotTest, GovernedCheckpointWithoutGovernorIsRefused) {
+  auto stack = make_governed_stack();
+  ManualClock clock;
+  ServingConfig config;
+  config.clock = &clock;
+  ServingDispatcher serving(*stack, config);
+  for (int i = 0; i < 250; ++i) {
+    clock.advance(0.02);
+    const size_t machine = serving.acquire(1.0);
+    ASSERT_EQ(serving.release(machine, 1.0), ServingStatus::kOk);
+  }
+  ServingSnapshot snap = serving.capture_snapshot();
+  // The governor block sits between the committed fractions and the
+  // inner round-robin's cadence; cut it out, as a checkpoint written
+  // before the block existed would lack it.
+  std::vector<double> governor_block;
+  const size_t block_len =
+      governed_core(*stack).governor().save_state(governor_block);
+  const size_t n = kSpeeds.size();
+  const size_t at = 3 + n + (4 + 5 * n) + n;
+  ASSERT_GE(snap.policy_state.size(), at + block_len);
+  ASSERT_TRUE(std::equal(governor_block.begin(), governor_block.end(),
+                         snap.policy_state.begin() + at));
+  snap.policy_state.erase(snap.policy_state.begin() + at,
+                          snap.policy_state.begin() + at + block_len);
+
+  auto restored_stack = make_governed_stack();
+  ServingDispatcher restored(*restored_stack);
+  EXPECT_THROW(restored.restore(snap), hs::util::CheckError);
 }
 
 TEST(ChaosSnapshotTest, HealthStateSurvivesTheRoundTrip) {

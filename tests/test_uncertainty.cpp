@@ -10,6 +10,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -472,6 +473,64 @@ TEST(Governor, FlapGuardFreezesAndOptionallyThaws) {
   EXPECT_EQ(governor.consider(1600.0, 100.0, 50.0),
             GovernorVerdict::kCommit);
   EXPECT_FALSE(governor.frozen());
+}
+
+TEST(Governor, CheckpointResumesTheGatesAndRejectsMalformedBlocks) {
+  GovernorConfig config;
+  config.min_dwell = 0.0;
+  config.window_budget = 100;
+  config.budget_window = 1000.0;
+  config.flap_threshold = 3;
+  config.flap_window = 1000.0;
+  config.freeze_duration = 500.0;
+  ReallocationGovernor original(config);
+  for (int i = 0; i < 4; ++i) {  // three commits, then a freeze
+    (void)original.consider(10.0 * (i + 1), 100.0, 50.0);
+  }
+  ASSERT_TRUE(original.frozen());
+  std::vector<double> saved;
+  const size_t length = original.save_state(saved);
+  ASSERT_EQ(length, saved.size());
+  EXPECT_EQ(length, 3u + 8u);
+
+  ReallocationGovernor restored(config);
+  ASSERT_EQ(restored.restore_state(saved), length);
+  for (const double now : {100.0, 540.0, 1600.0, 1610.0}) {
+    EXPECT_EQ(restored.consider(now, 100.0, 50.0),
+              original.consider(now, 100.0, 50.0))
+        << "at " << now;
+  }
+  EXPECT_EQ(restored.commits(), original.commits());
+  EXPECT_EQ(restored.rejections(), original.rejections());
+  EXPECT_EQ(restored.freezes(), original.freezes());
+
+  // Every value is checked before anything changes: a corrupt or
+  // inconsistent block is refused and leaves the governor untouched.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<size_t, double>> corruptions = {
+      {0, 2.5},    // fractional history count
+      {0, 99.0},   // history longer than the block
+      {1, kNaN},   // commit time
+      {3, 25.0},   // history does not end at the last commit
+      {5, 0.0},    // committed flag cleared, counters say otherwise
+      {6, 2.0},    // frozen flag
+      {7, kNaN},   // freeze deadline
+      {8, 1.0},    // fewer proposals than commits + freezes
+      {9, 0.5},    // fractional commit count
+      {10, 0.0},   // frozen without a freeze
+  };
+  for (const auto& [index, value] : corruptions) {
+    SCOPED_TRACE(index);
+    std::vector<double> bad = saved;
+    bad[index] = value;
+    ReallocationGovernor target(config);
+    EXPECT_EQ(target.restore_state(bad), 0u);
+    EXPECT_EQ(target.proposals(), 0u);
+    EXPECT_FALSE(target.frozen());
+  }
+  ReallocationGovernor target(config);
+  EXPECT_EQ(target.restore_state(std::span<const double>(saved).first(10)),
+            0u);
 }
 
 TEST(Governor, DefaultConfigCannotSelfTrip) {
