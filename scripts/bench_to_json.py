@@ -19,6 +19,16 @@ summary; means and single runs drift with background load. The script
 appends one entry to the "entries" list, preserving everything already
 recorded, and derives speedups against a chosen baseline entry.
 
+Same-runner A/B gate: with --ab-baseline ROUNDS the baseline is not a
+recorded entry but the minima of a second rounds file, taken from the
+base-ref binary in rounds interleaved with the input's on the same host,
+so --check-regression and --latency-regression do not move with the
+host that recorded the last entry:
+
+    python3 scripts/bench_to_json.py new.jsonl --label ab --dry-run \
+        --ab-baseline base.jsonl --check-regression 10 \
+        --latency-regression 50
+
 Only Python's standard library is used.
 """
 
@@ -85,6 +95,25 @@ def collect_minima(runs):
     return minima
 
 
+def summarize(minima):
+    """Rounded minima per benchmark, plus the cluster benchmark's
+    jobs_per_sec derived from its minimum iteration time."""
+    results = {}
+    for name in sorted(minima):
+        results[name] = {
+            "real_time": round(minima[name]["real_time"], 3),
+            "unit": minima[name]["unit"],
+        }
+        if name == CLUSTER_BENCH:
+            unit = minima[name]["unit"]
+            scale = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}[unit]
+            seconds = minima[name]["real_time"] * scale
+            results[name]["jobs_per_sec"] = round(
+                CLUSTER_JOBS_PER_ITER / seconds
+            )
+    return results
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("input", help="file of google-benchmark JSON runs")
@@ -101,6 +130,11 @@ def main():
     parser.add_argument("--trajectory", default=None,
                         help="path to BENCH_sim.json (default: repo root "
                              "relative to this script)")
+    parser.add_argument("--ab-baseline", default=None, metavar="ROUNDS",
+                        help="gate against the minima of this rounds file "
+                             "(the base-ref binary, run interleaved with "
+                             "the input on the same host) instead of a "
+                             "recorded entry")
     parser.add_argument("--dry-run", action="store_true",
                         help="print the new entry instead of writing")
     parser.add_argument("--check-regression", type=float, default=None,
@@ -125,19 +159,7 @@ def main():
     minima = collect_minima(parse_runs(args.input))
     if not minima:
         sys.exit("no benchmark results found in " + args.input)
-    results = {}
-    for name in sorted(minima):
-        results[name] = {
-            "real_time": round(minima[name]["real_time"], 3),
-            "unit": minima[name]["unit"],
-        }
-        if name == CLUSTER_BENCH:
-            unit = minima[name]["unit"]
-            scale = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}[unit]
-            seconds = minima[name]["real_time"] * scale
-            results[name]["jobs_per_sec"] = round(
-                CLUSTER_JOBS_PER_ITER / seconds
-            )
+    results = summarize(minima)
 
     entry = {
         "label": args.label,
@@ -152,7 +174,15 @@ def main():
 
     entries = trajectory.setdefault("entries", [])
     baseline = None
-    if args.baseline:
+    if args.ab_baseline:
+        if args.baseline:
+            sys.exit("--ab-baseline and --baseline are exclusive")
+        base_minima = collect_minima(parse_runs(args.ab_baseline))
+        if not base_minima:
+            sys.exit("no benchmark results found in " + args.ab_baseline)
+        baseline = {"label": "A/B " + args.ab_baseline,
+                    "results": summarize(base_minima)}
+    elif args.baseline:
         matches = [e for e in entries if e["label"] == args.baseline]
         if not matches:
             sys.exit("baseline label not found: " + args.baseline)
@@ -207,6 +237,11 @@ def main():
             if not is_headline_latency(name):
                 continue
             base = baseline["results"].get(name)
+            if not base and args.ab_baseline:
+                # The base-ref binary predates this benchmark; the
+                # cross-run gate still needs it recorded.
+                print(f"{name}: not in '{baseline['label']}'; skipped")
+                continue
             if not base or base["unit"] != res["unit"]:
                 print(f"{name}: no baseline in '{baseline['label']}'")
                 failed.append(name)

@@ -1,33 +1,27 @@
 #!/usr/bin/env python3
-"""Gate the health layer's acquire-p99 cost from bench rounds files.
+"""Guard the health layer's idle acquire-p99 tax from a bench rounds file.
 
 The serving p99 microbenchmarks report the batch p99 as their iteration
 time (see bench/micro_serving.cpp), so each benchmark's minimum
 real_time over the rounds IS its least-contended tail-latency estimate.
-Two checks, both same-runner so they avoid the cross-run noise that
-forces bench_to_json.py's --latency-regression gate to use a wide
-margin:
+Within one rounds file (so the comparison is same-runner and avoids the
+cross-run noise that forces bench_to_json.py's --latency-regression gate
+to use a wide margin), BM_ServingAcquireP99Health (health on but idle:
+every acquire arms a release deadline that never expires) is compared
+with BM_ServingAcquireP99LeastLoad (same stack, health off). Arming is
+O(1) — a ring store plus two counter bumps — but it does touch the
+deadline ring and a per-machine counter, so the measured tax is a few
+tens of ns of cache traffic at n = 10^4. The default ceiling
+(--idle-max-ratio 1.5) leaves room for that while still failing loudly
+if the per-acquire work ever becomes O(machines) or O(in-flight), which
+shows up as a 10-100x ratio.
 
-1. A/B gate (with --ab-baseline): for every benchmark name present in
-   both rounds files, the candidate minimum must stay within
-   --ab-max-ratio of the baseline minimum. CI interleaves rounds of the
-   base-ref binary and the PR binary, so this enforces the acceptance
-   bound "acquire p99 unchanged (<= 1.01x) with the health layer
-   compiled in but configured off".
-
-2. Idle-tax guard (always): within the candidate file,
-   BM_ServingAcquireP99Health (health on but idle: every acquire arms a
-   release deadline that never expires) vs BM_ServingAcquireP99LeastLoad
-   (same stack, health off). Arming is O(1) — a ring store plus two
-   counter bumps — but it does touch the deadline ring and a per-machine
-   counter, so the measured tax is a few tens of ns of cache traffic at
-   n = 10^4. The default ceiling (--idle-max-ratio 1.5) leaves room for
-   that while still failing loudly if the per-acquire work ever becomes
-   O(machines) or O(in-flight), which shows up as a 10-100x ratio.
+The A/B bound against the base ref ("acquire p99 unchanged, <= 1.01x,
+with the health layer compiled in but off") is
+`bench_to_json.py --ab-baseline ROUNDS --latency-regression 1`.
 
 Usage:
-    python3 scripts/check_health_overhead.py new_rounds.jsonl \
-        [--ab-baseline base_rounds.jsonl] [--ab-max-ratio 1.01] \
+    python3 scripts/check_health_overhead.py rounds.jsonl \
         [--idle-max-ratio 1.5]
 
 Only Python's standard library is used.
@@ -85,39 +79,15 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("input", help="candidate rounds file (google-"
                                       "benchmark JSON runs, concatenated)")
-    parser.add_argument("--ab-baseline", default=None, metavar="ROUNDS",
-                        help="rounds file from the base-ref binary; every "
-                             "benchmark present in both files is gated")
-    parser.add_argument("--ab-max-ratio", type=float, default=1.01,
-                        help="A/B ceiling per benchmark (default: "
-                             "%(default)s)")
     parser.add_argument("--idle-max-ratio", type=float, default=1.5,
                         help="ceiling on p99(health idle) / p99(health "
                              "off) within the candidate file (default: "
                              "%(default)s)")
     args = parser.parse_args()
 
-    new = collect_minima(args.input)
-    ok = True
-
-    if args.ab_baseline is not None:
-        base = collect_minima(args.ab_baseline)
-        common = sorted(set(new) & set(base))
-        if not common:
-            sys.exit(f"--ab-baseline: no common benchmarks between "
-                     f"{args.ab_baseline} and {args.input}")
-        for name in common:
-            if base[name]["unit"] != new[name]["unit"]:
-                sys.exit(f"{name}: unit mismatch "
-                         f"({base[name]['unit']} vs {new[name]['unit']})")
-            if base[name]["real_time"] <= 0.0:
-                sys.exit(f"{name}: non-positive baseline p99")
-            ok &= gate_ratio(f"A/B {name}", new[name]["real_time"],
-                             base[name]["real_time"], args.ab_max_ratio,
-                             new[name]["unit"])
-
-    off = [v for k, v in new.items() if k.split("/")[0] == BASELINE_BENCH]
-    idle = [v for k, v in new.items() if k.split("/")[0] == HEALTH_BENCH]
+    minima = collect_minima(args.input)
+    off = [v for k, v in minima.items() if k.split("/")[0] == BASELINE_BENCH]
+    idle = [v for k, v in minima.items() if k.split("/")[0] == HEALTH_BENCH]
     if not off or not idle:
         sys.exit(f"need both {BASELINE_BENCH} and {HEALTH_BENCH} in "
                  f"{args.input}")
@@ -125,11 +95,9 @@ def main():
         sys.exit(f"unit mismatch: {off[0]['unit']} vs {idle[0]['unit']}")
     if off[0]["real_time"] <= 0.0:
         sys.exit("non-positive health-off baseline p99")
-    ok &= gate_ratio(f"idle-tax {HEALTH_BENCH}", idle[0]["real_time"],
-                     off[0]["real_time"], args.idle_max_ratio,
-                     off[0]["unit"])
-
-    if not ok:
+    if not gate_ratio(f"idle-tax {HEALTH_BENCH}", idle[0]["real_time"],
+                      off[0]["real_time"], args.idle_max_ratio,
+                      off[0]["unit"]):
         sys.exit(1)
 
 

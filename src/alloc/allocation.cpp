@@ -34,17 +34,30 @@ void Allocation::assign(std::span<const double> fractions) {
   normalize(fractions_);
 }
 
-void Allocation::assign_exact(std::span<const double> fractions) {
-  HS_CHECK(!fractions.empty(), "allocation needs at least one machine");
+bool Allocation::exact_fractions_valid(std::span<const double> fractions) {
   double sum = 0.0;
   for (double f : fractions) {
-    HS_CHECK(f >= 0.0 && f <= 1.0,
-             "restored allocation fraction out of [0, 1]: " << f);
+    if (!(f >= 0.0 && f <= 1.0)) {
+      return false;
+    }
     sum += f;
   }
-  HS_CHECK(std::fabs(sum - 1.0) < 1e-6,
-           "restored allocation fractions must sum to 1, got " << sum);
+  return !fractions.empty() && std::fabs(sum - 1.0) < 1e-6;
+}
+
+void Allocation::assign_exact(std::span<const double> fractions) {
+  HS_CHECK(exact_fractions_valid(fractions),
+           "restored allocation fractions must be non-empty, each in "
+           "[0, 1], and sum to 1");
   fractions_.assign(fractions.begin(), fractions.end());
+}
+
+bool restricts(const std::vector<bool>& available) {
+  const bool any_up =
+      std::find(available.begin(), available.end(), true) != available.end();
+  return any_up &&
+         std::find(available.begin(), available.end(), false) !=
+             available.end();
 }
 
 size_t Allocation::active_count() const {

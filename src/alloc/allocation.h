@@ -6,10 +6,13 @@
 // (dispatchers, the analytic model) can rely on them.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "util/math_util.h"
 
 namespace hs::alloc {
 
@@ -39,6 +42,9 @@ class Allocation {
   /// checkpoint/restore path (serving/snapshot.h) needs the donor's
   /// exact fractions back to reproduce its pick sequence.
   void assign_exact(std::span<const double> fractions);
+  /// True when assign_exact() accepts `fractions`.
+  [[nodiscard]] static bool exact_fractions_valid(
+      std::span<const double> fractions);
 
   [[nodiscard]] size_t size() const { return fractions_.size(); }
   [[nodiscard]] double operator[](size_t i) const { return fractions_[i]; }
@@ -69,5 +75,56 @@ class Allocation {
  private:
   std::vector<double> fractions_;
 };
+
+/// True when `available` masks some machines out but not all of them.
+/// An all-true mask changes nothing, and an all-false one (a total
+/// blackout) prefers no machine over another, so both solve everyone.
+[[nodiscard]] bool restricts(const std::vector<bool>& available);
+
+/// Reused buffers of survivor_fractions_into().
+struct SurvivorScratch {
+  std::vector<double> speeds;
+  std::vector<double> fractions;
+};
+
+/// The one survivor re-solve. The machines `available` keeps absorb the
+/// whole arrival stream, so `solve(speeds, rho, out)` (a scheme's raw
+/// fractions) runs over them at ρ_eff = clamp(ρ·Σs/Σs_up, lo, hi), and
+/// their normalized fractions are expanded back with zeros into `out`.
+/// Without restricts(available) every machine is solved at ρ. Either way
+/// one Allocation normalization of `out` (assign, rebuild_fractions)
+/// yields the allocation a construct-and-expand chain builds, bit for
+/// bit. Returns the ρ the solve assumed. Allocation-free once warm.
+template <typename Solve>
+double survivor_fractions_into(std::span<const double> speeds,
+                               const std::vector<bool>& available,
+                               double rho, double lo, double hi,
+                               Solve&& solve, std::vector<double>& out,
+                               SurvivorScratch& scratch) {
+  if (!restricts(available)) {
+    solve(speeds, rho, out);
+    return rho;
+  }
+  scratch.speeds.clear();
+  for (size_t i = 0; i < speeds.size(); ++i) {
+    if (available[i]) {
+      scratch.speeds.push_back(speeds[i]);
+    }
+  }
+  const double effective = std::clamp(
+      rho * util::kahan_sum(speeds) / util::kahan_sum(scratch.speeds), lo,
+      hi);
+  solve(std::span<const double>(scratch.speeds), effective,
+        scratch.fractions);
+  Allocation::normalize(scratch.fractions);
+  out.assign(speeds.size(), 0.0);
+  size_t next_survivor = 0;
+  for (size_t i = 0; i < speeds.size(); ++i) {
+    if (available[i]) {
+      out[i] = scratch.fractions[next_survivor++];
+    }
+  }
+  return effective;
+}
 
 }  // namespace hs::alloc

@@ -156,32 +156,6 @@ double objective_value(const Allocation& alloc, std::span<const double> speeds,
   return total;
 }
 
-EstimatedSolve solve_from_estimates(std::span<const double> speed_estimates,
-                                    double lambda_estimate,
-                                    double mean_job_size,
-                                    double safety_factor, double min_rho,
-                                    double max_rho) {
-  HS_CHECK(std::isfinite(lambda_estimate) && lambda_estimate >= 0.0,
-           "lambda estimate must be finite and >= 0, got "
-               << lambda_estimate);
-  HS_CHECK(mean_job_size > 0.0,
-           "mean job size must be positive, got " << mean_job_size);
-  HS_CHECK(safety_factor > 0.0,
-           "safety factor must be positive, got " << safety_factor);
-  HS_CHECK(min_rho > 0.0 && min_rho <= max_rho && max_rho < 1.0,
-           "rho clamp range out of order: [" << min_rho << ", " << max_rho
-                                             << "]");
-  const double total = util::kahan_sum(speed_estimates);
-  HS_CHECK(total > 0.0,
-           "estimated total speed must be > 0, got " << total);
-  const double implied = lambda_estimate * mean_job_size / total;
-  const double assumed =
-      std::clamp(implied * safety_factor, min_rho, max_rho);
-  return EstimatedSolve{OptimizedAllocation().compute(speed_estimates,
-                                                      assumed),
-                        assumed};
-}
-
 double min_objective_value(std::span<const double> speeds, double rho) {
   validate_scheme_inputs(speeds, rho);
   std::vector<double> sorted(speeds.begin(), speeds.end());

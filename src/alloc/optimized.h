@@ -88,24 +88,4 @@ class OptimizedAllocation final : public AllocationScheme {
 [[nodiscard]] double min_objective_value(std::span<const double> speeds,
                                          double rho);
 
-/// One re-solve of Algorithm 1 from *online estimates* rather than known
-/// parameters (the adaptive re-allocation entry point).
-struct EstimatedSolve {
-  Allocation allocation;
-  /// The utilization the solve assumed: λ̂·E[size]/Σŝ, inflated by the
-  /// safety factor and clamped into [min_rho, max_rho].
-  double assumed_rho = 0.0;
-};
-
-/// Re-solve the optimized allocation from an estimated arrival rate λ̂
-/// and estimated speeds ŝᵢ. `safety_factor` overestimates the implied
-/// load slightly (§5.4's advice); the assumed utilization is clamped to
-/// [min_rho, max_rho] so an over- or under-shooting estimator still
-/// yields a well-posed solve (past max_rho the optimized scheme
-/// approaches the weighted one anyway).
-[[nodiscard]] EstimatedSolve solve_from_estimates(
-    std::span<const double> speed_estimates, double lambda_estimate,
-    double mean_job_size, double safety_factor = 1.0, double min_rho = 0.02,
-    double max_rho = 0.98);
-
 }  // namespace hs::alloc

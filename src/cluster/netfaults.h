@@ -110,6 +110,25 @@ struct HeartbeatConfig {
   [[nodiscard]] double timeout(double mean_interarrival) const;
 };
 
+/// One machine's φ-accrual detector: its last heartbeat and the EWMA of
+/// heartbeat interarrivals; HeartbeatConfig::timeout(mean) bounds the
+/// silence. The owner arms it as {start, interval}: the simulator at
+/// t = 0 for every machine, serving at a backend's first heartbeat.
+struct PhiDetector {
+  double last = 0.0;
+  double mean = 0.0;
+
+  /// Fold in a heartbeat seen at `now`; a negative gap (a clock that
+  /// stepped back) changes nothing.
+  void beat(double now, double alpha) {
+    const double gap = now - last;
+    if (gap >= 0.0) {
+      mean = (1.0 - alpha) * mean + alpha * gap;
+      last = now;
+    }
+  }
+};
+
 /// Everything the network layer may inject into one run. Plain data,
 /// safe to copy across the experiment runner's worker threads.
 struct NetworkConfig {

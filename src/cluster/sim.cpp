@@ -248,7 +248,7 @@ class RunContext : private sim::EventTarget {
         hb_.assign(config.speeds.size(), HeartbeatState{});
         const double interval = config.network.heartbeat.interval;
         for (size_t m = 0; m < config.speeds.size(); ++m) {
-          hb_[m].mean = interval;
+          hb_[m].phi = {0.0, interval};
           if (interval <= config.sim_time) {
             simulator_.schedule_at(
                 interval, *this, kHeartbeat,
@@ -475,10 +475,9 @@ class RunContext : private sim::EventTarget {
     [[nodiscard]] bool live() const { return (generation & 1u) != 0; }
   };
   struct HeartbeatState {
-    double last_arrival = 0.0;  // when the last heartbeat was seen
-    double mean = 0.0;          // EWMA inter-arrival estimate
+    PhiDetector phi;
     bool suspected = false;
-    uint64_t generation = 0;    // heartbeats seen (stale-check token)
+    uint64_t generation = 0;  // heartbeats seen (stale-check token)
   };
 
   void on_event(uint32_t kind, const sim::EventArgs& args) override {
@@ -1025,9 +1024,9 @@ class RunContext : private sim::EventTarget {
       // The crash loses every resident job; the machine then sits at
       // speed 0 (occupied-but-dead time does not count as busy — the
       // queue is empty).
-      std::vector<queueing::Job> lost = servers_[machine]->evict_all();
+      servers_[machine]->evict_all(evicted_);
       servers_[machine]->set_speed(0.0);
-      for (const queueing::Job& job : lost) {
+      for (const queueing::Job& job : evicted_) {
         if (net_on_) {
           net_resident_lost(job, machine);
         } else {
@@ -1581,12 +1580,10 @@ class RunContext : private sim::EventTarget {
       net_state_report(machine, /*up=*/true);
     }
     const HeartbeatConfig& hb = config_.network.heartbeat;
-    const double gap = now - state.last_arrival;
-    state.mean = (1.0 - hb.ewma_alpha) * state.mean + hb.ewma_alpha * gap;
-    state.last_arrival = now;
+    state.phi.beat(now, hb.ewma_alpha);
     ++state.generation;
     simulator_.schedule_at(
-        now + hb.timeout(state.mean), *this, kSuspectCheck,
+        now + hb.timeout(state.phi.mean), *this, kSuspectCheck,
         sim::EventArgs::pack(SuspectArgs{static_cast<uint32_t>(machine),
                                          state.generation}));
   }
@@ -1608,7 +1605,7 @@ class RunContext : private sim::EventTarget {
     if (trace_ != nullptr) {
       trace_->record(simulator_.now(), obs::TraceEventKind::kSuspect,
                      obs::TraceSink::kNoJob, static_cast<int32_t>(machine),
-                     0, simulator_.now() - state.last_arrival);
+                     0, simulator_.now() - state.phi.last);
     }
     net_state_report(machine, /*up=*/false);
   }
@@ -1704,6 +1701,7 @@ class RunContext : private sim::EventTarget {
   std::vector<bool> down_;             // current crash state per machine
   std::vector<double> nominal_speed_;  // speed to restore on recovery
   std::vector<double> downtime_;       // per machine, within [0, sim_time]
+  std::vector<queueing::Job> evicted_;  // a crash's lost jobs (reused)
   obs::TraceSink* trace_ = nullptr;          // null = tracing off
   obs::MetricsRegistry* registry_ = nullptr; // null = sampling off
   double sample_interval_ = 0.0;

@@ -36,51 +36,24 @@ double AdaptiveOrrDispatcher::estimated_rho(double fallback) const {
   return rate * options_.mean_job_size / total_speed_;
 }
 
-bool AdaptiveOrrDispatcher::mask_active() const {
-  bool any_down = false;
-  bool any_up = false;
-  for (const bool up : available_) {
-    any_down = any_down || !up;
-    any_up = any_up || up;
-  }
-  return any_down && any_up;
-}
-
 void AdaptiveOrrDispatcher::rebuild(double rho_estimate) {
   const double assumed =
       std::clamp(rho_estimate * options_.safety_factor, options_.min_rho,
                  options_.max_rho);
   assumed_rho_ = assumed;
-  if (mask_active()) {
-    // Recompute Algorithm 1 over the survivors: they absorb the whole
-    // arrival stream, so their effective utilization is the system-level
-    // assumed ρ scaled by total/survivor capacity (clamped — past
-    // max_rho the optimized scheme approaches the weighted one anyway).
-    std::vector<double> survivor_speeds;
-    survivor_speeds.reserve(speeds_.size());
-    for (size_t i = 0; i < speeds_.size(); ++i) {
-      if (available_[i]) {
-        survivor_speeds.push_back(speeds_[i]);
-      }
-    }
-    const double survivor_total = util::kahan_sum(survivor_speeds);
-    const double effective =
-        std::clamp(assumed * total_speed_ / survivor_total, options_.min_rho,
-                   options_.max_rho);
-    const alloc::Allocation survivor_alloc =
-        alloc::OptimizedAllocation().compute(survivor_speeds, effective);
-    std::vector<double> fractions(speeds_.size(), 0.0);
-    size_t next_survivor = 0;
-    for (size_t i = 0; i < speeds_.size(); ++i) {
-      if (available_[i]) {
-        fractions[i] = survivor_alloc[next_survivor++];
-      }
-    }
-    allocation_ = std::make_unique<alloc::Allocation>(std::move(fractions));
-  } else {
-    allocation_ = std::make_unique<alloc::Allocation>(
-        alloc::OptimizedAllocation().compute(speeds_, assumed));
-  }
+  // Under a mask, Algorithm 1 is re-solved over the survivors at the
+  // survivor-effective utilization (alloc::survivor_fractions_into).
+  alloc::SolverScratch solver;
+  alloc::SurvivorScratch survivors;
+  std::vector<double> fractions;
+  alloc::survivor_fractions_into(
+      speeds_, available_, assumed, options_.min_rho, options_.max_rho,
+      [&solver](std::span<const double> speeds, double rho,
+                std::vector<double>& out) {
+        alloc::OptimizedAllocation().compute_into(speeds, rho, out, solver);
+      },
+      fractions, survivors);
+  allocation_ = std::make_unique<alloc::Allocation>(std::move(fractions));
   inner_ =
       std::make_unique<dispatch::SmoothRoundRobinDispatcher>(*allocation_);
   ++recomputations_;

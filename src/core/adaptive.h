@@ -78,9 +78,6 @@ class AdaptiveOrrDispatcher final : public dispatch::Dispatcher {
 
  private:
   void rebuild(double rho_estimate);
-  /// True if any machine is masked out (an all-false mask counts as no
-  /// masking).
-  [[nodiscard]] bool mask_active() const;
 
   std::vector<double> speeds_;
   double total_speed_;

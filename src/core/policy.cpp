@@ -171,13 +171,10 @@ void policy_fractions_masked_into(PolicyKind kind,
            "availability mask size " << available.size()
                                      << " != machine count "
                                      << speeds.size());
-  // Raw scheme fractions for the given speed set. The Allocation
-  // normalization is deliberately NOT applied to the full-availability
-  // output: the consumer (rebuild_fractions) applies it exactly once,
-  // mirroring the single Allocation construction of policy_allocation().
-  const auto compute_raw = [&](std::span<const double> machine_speeds,
-                               double assumed,
-                               std::vector<double>& out) {
+  // Raw scheme fractions: the consumer (rebuild_fractions) applies the
+  // Allocation normalization exactly once.
+  const auto solve = [&](std::span<const double> machine_speeds,
+                         double assumed, std::vector<double>& out) {
     if (uses_optimized_allocation(kind)) {
       alloc::OptimizedAllocation(rho_estimate_factor)
           .compute_into(machine_speeds, planning_rho(assumed), out,
@@ -187,41 +184,9 @@ void policy_fractions_masked_into(PolicyKind kind,
           machine_speeds, planning_rho(assumed), out);
     }
   };
-  const bool any_down =
-      std::find(available.begin(), available.end(), false) != available.end();
-  const bool any_up =
-      std::find(available.begin(), available.end(), true) != available.end();
-  if (!any_down || !any_up) {
-    // Full availability — or total blackout, where no preference between
-    // machines is better than any other (every job is lost regardless).
-    compute_raw(speeds, rho, fractions);
-    return;
-  }
-  scratch.survivor_speeds.clear();
-  for (size_t i = 0; i < speeds.size(); ++i) {
-    if (available[i]) {
-      scratch.survivor_speeds.push_back(speeds[i]);
-    }
-  }
-  // The survivors absorb the whole arrival stream: λ is unchanged while
-  // the capacity shrank, so their effective utilization rises.
-  const double total = util::kahan_sum(speeds);
-  const double survivor_total = util::kahan_sum(scratch.survivor_speeds);
-  const double effective =
-      std::min(rho * total / survivor_total, kMaxDegradedRho);
-  compute_raw(scratch.survivor_speeds, effective,
-              scratch.survivor_fractions);
-  // Normalize the survivor solve — the inner Allocation construction of
-  // policy_allocation_masked() — then expand with zeros; the consumer's
-  // single normalization reproduces the outer one bit-identically.
-  alloc::Allocation::normalize(scratch.survivor_fractions);
-  fractions.assign(speeds.size(), 0.0);
-  size_t next_survivor = 0;
-  for (size_t i = 0; i < speeds.size(); ++i) {
-    if (available[i]) {
-      fractions[i] = scratch.survivor_fractions[next_survivor++];
-    }
-  }
+  alloc::survivor_fractions_into(speeds, available, rho, 0.0,
+                                 kMaxDegradedRho, solve, fractions,
+                                 scratch.survivors);
 }
 
 dispatch::Reweighter policy_masked_reweighter(PolicyKind kind,

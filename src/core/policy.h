@@ -81,8 +81,7 @@ enum class PolicyKind {
 /// Reusable buffers for policy_fractions_masked_into(): survivor solves
 /// at a fixed cluster size touch the allocator zero times once warm.
 struct MaskedReweightScratch {
-  std::vector<double> survivor_speeds;
-  std::vector<double> survivor_fractions;
+  alloc::SurvivorScratch survivors;
   alloc::SolverScratch solver;
 };
 

@@ -85,19 +85,17 @@ void FcfsServer::set_speed(double new_speed) {
   }
 }
 
-std::vector<Job> FcfsServer::evict_all() {
-  std::vector<Job> evicted;
-  evicted.reserve(queue_length());
+void FcfsServer::evict_all(std::vector<Job>& out) {
+  out.clear();
   if (in_service_) {
     simulator_.cancel(completion_event_);
     completion_event_ = sim::EventHandle{};
     in_service_ = false;
     busy_accum_ += simulator_.now() - busy_since_;
-    evicted.push_back(current_);
+    out.push_back(current_);
   }
-  evicted.insert(evicted.end(), waiting_.begin(), waiting_.end());
+  out.insert(out.end(), waiting_.begin(), waiting_.end());
   waiting_.clear();
-  return evicted;
 }
 
 bool FcfsServer::evict(uint64_t job_id) {

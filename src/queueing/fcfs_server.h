@@ -26,7 +26,7 @@ class FcfsServer final : public Server, private sim::EventTarget {
 
   /// Crash support: drains the job in service (first) and the waiting
   /// queue, cancelling the pending completion.
-  std::vector<Job> evict_all() override;
+  void evict_all(std::vector<Job>& out) override;
 
   /// Hedge-cancellation support: removes one job by id — from service
   /// (the next waiter starts immediately) or from the waiting queue.

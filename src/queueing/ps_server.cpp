@@ -59,17 +59,15 @@ void PsServer::set_speed(double new_speed) {
   reschedule_departure();
 }
 
-std::vector<Job> PsServer::evict_all() {
+void PsServer::evict_all(std::vector<Job>& out) {
   advance_clock();
   simulator_.cancel(pending_departure_);
   pending_departure_ = sim::EventHandle{};
-  std::vector<Job> evicted;
-  evicted.reserve(active_.size());
+  out.clear();
   while (!active_.empty()) {
-    evicted.push_back(active_.front().job);
+    out.push_back(active_.front().job);
     pop_leader();
   }
-  return evicted;
 }
 
 bool PsServer::evict(uint64_t job_id) {

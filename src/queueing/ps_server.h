@@ -37,7 +37,7 @@ class PsServer final : public Server, private sim::EventTarget {
 
   /// Crash support: drains every active job (ordered by finish tag, so
   /// deterministic) and cancels the pending departure.
-  std::vector<Job> evict_all() override;
+  void evict_all(std::vector<Job>& out) override;
 
   /// Hedge-cancellation support: removes one job by id and reschedules
   /// the departure for the new leader. O(n) to find the job plus an

@@ -82,9 +82,8 @@ void RrServer::set_speed(double new_speed) {
   }
 }
 
-std::vector<Job> RrServer::evict_all() {
-  std::vector<Job> evicted;
-  evicted.reserve(ready_.size());
+void RrServer::evict_all(std::vector<Job>& out) {
+  out.clear();
   if (running_) {
     simulator_.cancel(slice_event_);
     slice_event_ = sim::EventHandle{};
@@ -92,10 +91,9 @@ std::vector<Job> RrServer::evict_all() {
     busy_accum_ += simulator_.now() - busy_since_;
   }
   for (const PendingJob& pending : ready_) {
-    evicted.push_back(pending.job);
+    out.push_back(pending.job);
   }
   ready_.clear();
-  return evicted;
 }
 
 bool RrServer::evict(uint64_t job_id) {

@@ -29,7 +29,7 @@ class RrServer final : public Server, private sim::EventTarget {
 
   /// Crash support: drains the ready queue (running job first) and
   /// cancels the pending slice-end event.
-  std::vector<Job> evict_all() override;
+  void evict_all(std::vector<Job>& out) override;
 
   /// Hedge-cancellation support: removes one job by id — the running job
   /// (the next head takes the CPU immediately) or a queued one.

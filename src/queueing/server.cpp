@@ -13,9 +13,8 @@ void Server::set_speed(double /*new_speed*/) {
   HS_CHECK(false, "set_speed is not supported by this service discipline");
 }
 
-std::vector<Job> Server::evict_all() {
+void Server::evict_all(std::vector<Job>& /*out*/) {
   HS_CHECK(false, "evict_all is not supported by this service discipline");
-  return {};
 }
 
 bool Server::evict(uint64_t /*job_id*/) {

@@ -56,14 +56,16 @@ class Server {
   /// future disciplines fail loudly rather than silently ignore it.
   virtual void set_speed(double new_speed);
 
-  /// Remove and return every job resident on the machine (in service and
-  /// queued), in a deterministic order, without emitting completions.
+  /// Remove every job resident on the machine (in service and queued)
+  /// into `out`, cleared first, in a deterministic order, without
+  /// emitting completions. A caller that reuses `out` evicts without
+  /// allocating once it has held the deepest queue.
   /// Attained service is discarded — a re-dispatched job starts from
   /// scratch. Used by the fault-injection layer to model a crash: the
   /// machine's jobs are lost and reported back to the scheduler. The
   /// default implementation throws CheckError so future disciplines fail
   /// loudly rather than silently ignore a crash.
-  virtual std::vector<Job> evict_all();
+  virtual void evict_all(std::vector<Job>& out);
 
   /// Remove one resident job by id without emitting a completion;
   /// attained service is discarded. Returns false (and changes nothing)

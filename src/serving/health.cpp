@@ -28,8 +28,7 @@ HealthTracker::HealthTracker(size_t machines, const HealthConfig& config)
   armed_.assign(machines, 0);
   absorb_.assign(machines, 0);
   suspected_at_.assign(machines, 0.0);
-  last_heartbeat_.assign(machines, 0.0);
-  heartbeat_mean_.assign(machines, 0.0);
+  phi_.assign(machines, cluster::PhiDetector{});
   heartbeats_.assign(machines, 0);
   // 2n flips can accumulate between consume points only if every
   // machine is suspected *and* recovered without the dispatcher
@@ -108,18 +107,11 @@ void HealthTracker::on_result(size_t machine, bool accepted, double now) {
 
 void HealthTracker::on_heartbeat(size_t machine, double now) {
   if (heartbeats_[machine] == 0) {
-    last_heartbeat_[machine] = now;
-    // Seed the mean with the configured interval so the very first
-    // silence window already has a timeout to compare against.
-    heartbeat_mean_[machine] = config_.heartbeat.interval;
+    // Arm at the first heartbeat, seeding the mean with the configured
+    // interval so the first silence window already has a timeout.
+    phi_[machine] = {now, config_.heartbeat.interval};
   } else {
-    const double gap = now - last_heartbeat_[machine];
-    if (gap >= 0.0) {
-      const double alpha = config_.heartbeat.ewma_alpha;
-      heartbeat_mean_[machine] =
-          (1.0 - alpha) * heartbeat_mean_[machine] + alpha * gap;
-      last_heartbeat_[machine] = now;
-    }
+    phi_[machine].beat(now, config_.heartbeat.ewma_alpha);
   }
   ++heartbeats_[machine];
   // A heartbeat is a liveness proof: it recovers a Suspect backend and
@@ -159,8 +151,8 @@ void HealthTracker::tick(double now, bool scan_heartbeats) {
     if (state_[m] != MachineHealth::kHealthy || heartbeats_[m] < 2) {
       continue;  // never emitted enough to establish a cadence
     }
-    const double silence = now - last_heartbeat_[m];
-    if (silence > config_.heartbeat.timeout(heartbeat_mean_[m])) {
+    const double silence = now - phi_[m].last;
+    if (silence > config_.heartbeat.timeout(phi_[m].mean)) {
       // Suspect regardless of the failure streak: silence is its own
       // threshold (φ* encodes the confidence).
       consecutive_failures_[m] =
@@ -188,8 +180,8 @@ MachineHealthRecord HealthTracker::record(size_t machine) const {
   rec.state = static_cast<uint32_t>(state_[machine]);
   rec.consecutive_failures = consecutive_failures_[machine];
   rec.suspected_at = suspected_at_[machine];
-  rec.last_heartbeat = last_heartbeat_[machine];
-  rec.heartbeat_mean = heartbeat_mean_[machine];
+  rec.last_heartbeat = phi_[machine].last;
+  rec.heartbeat_mean = phi_[machine].mean;
   rec.heartbeats = heartbeats_[machine];
   return rec;
 }
@@ -211,8 +203,7 @@ bool HealthTracker::restore(size_t machine, const MachineHealthRecord& rec) {
   state_[machine] = new_state;
   consecutive_failures_[machine] = rec.consecutive_failures;
   suspected_at_[machine] = rec.suspected_at;
-  last_heartbeat_[machine] = rec.last_heartbeat;
-  heartbeat_mean_[machine] = rec.heartbeat_mean;
+  phi_[machine] = {rec.last_heartbeat, rec.heartbeat_mean};
   heartbeats_[machine] = rec.heartbeats;
   return true;
 }

@@ -17,9 +17,10 @@
 //  * Explicit outcomes — report_result(rejected) feeds the same
 //    consecutive-failure counter; report_result(accepted) and any
 //    in-time release reset it (and recover a Suspect backend).
-//  * Heartbeats — backends that emit report_heartbeat() get the PR 6
-//    phi-accrual detector re-driven by wall time: an EWMA of heartbeat
-//    interarrivals per backend, suspicion once the silence exceeds
+//  * Heartbeats — backends that emit report_heartbeat() get the
+//    simulator's phi-accrual detector (cluster::PhiDetector) re-driven
+//    by wall time: an EWMA of heartbeat interarrivals per backend,
+//    armed at its first heartbeat, suspicion once the silence exceeds
 //    φ*·mean·ln 10 (cluster::HeartbeatConfig::timeout). This catches
 //    idle backends that time out nothing because nothing was sent.
 //
@@ -188,8 +189,8 @@ class HealthTracker {
   std::vector<uint32_t> armed_;   // deadlines outstanding in the ring
   std::vector<uint32_t> absorb_;  // releases waiting to cancel an arm
   std::vector<double> suspected_at_;
-  std::vector<double> last_heartbeat_;
-  std::vector<double> heartbeat_mean_;
+  std::vector<cluster::PhiDetector> phi_;
+  // Apart from phi_: the watchdog's silence scan reads every count.
   std::vector<uint64_t> heartbeats_;
 
   std::vector<HealthTransition> transitions_;  // capacity 2n, see .cpp

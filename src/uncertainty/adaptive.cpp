@@ -52,30 +52,13 @@ GovernedAdaptiveDispatcher::GovernedAdaptiveDispatcher(
   assumed_rho_ =
       std::clamp(believed_rho_, options_.min_rho, options_.max_rho);
   available_.assign(believed_speeds_.size(), true);
-  install(solve(believed_speeds_, assumed_rho_));
+  solve_into(believed_speeds_, assumed_rho_, fractions_scratch_);
+  install_raw(fractions_scratch_);
 }
 
 std::string GovernedAdaptiveDispatcher::name() const {
   return options_.scheme == AdaptiveScheme::kOptimized ? "governed-orr"
                                                        : "governed-wrr";
-}
-
-bool GovernedAdaptiveDispatcher::mask_active() const {
-  bool any_down = false;
-  bool any_up = false;
-  for (const bool up : available_) {
-    any_down = any_down || !up;
-    any_up = any_up || up;
-  }
-  return any_down && any_up;
-}
-
-alloc::Allocation GovernedAdaptiveDispatcher::solve(
-    const std::vector<double>& speeds, double rho) const {
-  if (options_.scheme == AdaptiveScheme::kOptimized) {
-    return alloc::OptimizedAllocation().compute(speeds, rho);
-  }
-  return alloc::WeightedAllocation().compute(speeds, rho);
 }
 
 void GovernedAdaptiveDispatcher::solve_into(std::span<const double> speeds,
@@ -89,33 +72,16 @@ void GovernedAdaptiveDispatcher::solve_into(std::span<const double> speeds,
   }
 }
 
-void GovernedAdaptiveDispatcher::install(alloc::Allocation allocation) {
-  // The governor's sanity guard: whatever the estimates were, the
-  // committed fractions must form a distribution.
-  double sum = 0.0;
-  for (size_t i = 0; i < allocation.size(); ++i) {
-    sum += allocation[i];
-  }
-  HS_CHECK(std::abs(sum - 1.0) <= 1e-9,
-           "re-allocation fractions must sum to 1, got " << sum);
-  if (allocation_ == nullptr) {
-    allocation_ = std::make_unique<alloc::Allocation>(std::move(allocation));
-  } else {
-    *allocation_ = std::move(allocation);
-  }
-  install_inner();
-}
-
 void GovernedAdaptiveDispatcher::install_raw(
     std::span<const double> fractions) {
   // Allocation::assign validates and normalizes exactly once — the same
-  // single normalization the solve()→Allocation chain applies, so the
-  // committed fractions are bit-identical to the reconstructing path.
-  if (allocation_ == nullptr) {
-    allocation_ = std::make_unique<alloc::Allocation>(
-        std::vector<double>(fractions.begin(), fractions.end()));
-  } else {
+  // single normalization OptimizedAllocation::compute applies, so the
+  // committed fractions are bit-identical to a constructed Allocation.
+  if (allocation_.has_value()) {
     allocation_->assign(fractions);
+  } else {
+    allocation_.emplace(
+        std::vector<double>(fractions.begin(), fractions.end()));
   }
   install_inner();
 }
@@ -148,7 +114,8 @@ void GovernedAdaptiveDispatcher::maybe_reallocate(double now) {
   if (lambda_hat <= 0.0) {
     return;
   }
-  const std::vector<double> speeds_hat = bank_.speeds_hat(believed_speeds_);
+  bank_.speeds_hat_into(believed_speeds_, speeds_hat_scratch_);
+  const std::vector<double>& speeds_hat = speeds_hat_scratch_;
   const double total_hat = util::kahan_sum(speeds_hat);
   const double rho_raw =
       lambda_hat * options_.mean_job_size / total_hat;
@@ -157,25 +124,27 @@ void GovernedAdaptiveDispatcher::maybe_reallocate(double now) {
                    obs::TraceSink::kNoJob, obs::TraceSink::kScheduler, 0,
                    rho_raw);
   }
-  if (mask_active()) {
+  if (alloc::restricts(available_)) {
     // The fault layer owns routing while machines are blacklisted; the
     // estimators keep accruing and proposals resume on full health.
     return;
   }
-
-  double assumed = 0.0;
-  alloc::Allocation proposed = [&] {
-    if (options_.scheme == AdaptiveScheme::kOptimized) {
-      auto solved = alloc::solve_from_estimates(
-          speeds_hat, lambda_hat, options_.mean_job_size,
-          options_.safety_factor, options_.min_rho, options_.max_rho);
-      assumed = solved.assumed_rho;
-      return std::move(solved.allocation);
-    }
-    assumed = std::clamp(rho_raw * options_.safety_factor,
-                         options_.min_rho, options_.max_rho);
-    return alloc::WeightedAllocation().compute(speeds_hat, assumed);
-  }();
+  if (options_.scheme == AdaptiveScheme::kOptimized) {
+    HS_CHECK(std::isfinite(lambda_hat),
+             "lambda estimate must be finite, got " << lambda_hat);
+    HS_CHECK(total_hat > 0.0,
+             "estimated total speed must be > 0, got " << total_hat);
+  }
+  const double assumed = std::clamp(rho_raw * options_.safety_factor,
+                                    options_.min_rho, options_.max_rho);
+  solve_into(speeds_hat, assumed, fractions_scratch_);
+  // The proposal buffer is made at the first re-estimation, not at
+  // construction, and reused (swapped with the live one) from then on.
+  if (proposal_.has_value()) {
+    proposal_->assign(fractions_scratch_);
+  } else {
+    proposal_.emplace(fractions_scratch_);
+  }
 
   // Both objectives are believed F(α) (Definition 1) under the *same*
   // fresh estimates: how suboptimal has the live allocation become, and
@@ -183,7 +152,7 @@ void GovernedAdaptiveDispatcher::maybe_reallocate(double now) {
   const double f_current =
       alloc::objective_value(*allocation_, speeds_hat, assumed);
   const double f_proposed =
-      alloc::objective_value(proposed, speeds_hat, assumed);
+      alloc::objective_value(*proposal_, speeds_hat, assumed);
 
   const uint64_t freezes_before = governor_.freezes();
   const GovernorVerdict verdict =
@@ -199,15 +168,9 @@ void GovernedAdaptiveDispatcher::maybe_reallocate(double now) {
                      improvement);
     }
     assumed_rho_ = assumed;
-    ReallocEvent event;
-    event.time = now;
-    event.assumed_rho = assumed;
-    event.fractions.reserve(proposed.size());
-    for (size_t i = 0; i < proposed.size(); ++i) {
-      event.fractions.push_back(proposed[i]);
-    }
-    timeline_.push_back(std::move(event));
-    install(std::move(proposed));
+    timeline_.push_back(ReallocEvent{now, assumed, proposal_->fractions()});
+    std::swap(*allocation_, *proposal_);
+    install_inner();
     return;
   }
   if (trace_ != nullptr) {
@@ -287,48 +250,20 @@ void GovernedAdaptiveDispatcher::rebuild_for_mask() {
     speeds_hat_scratch_.assign(believed_speeds_.begin(),
                                believed_speeds_.end());
   }
-  const std::vector<double>& speeds_hat = speeds_hat_scratch_;
   const double lambda_hat = bank_.lambda_hat(0.0);
-  const double total = util::kahan_sum(speeds_hat);
   const double rho_base =
-      lambda_hat > 0.0 ? lambda_hat * options_.mean_job_size / total
+      lambda_hat > 0.0 ? lambda_hat * options_.mean_job_size /
+                             util::kahan_sum(speeds_hat_scratch_)
                        : believed_rho_;
   const double assumed =
       std::clamp(rho_base * options_.safety_factor, options_.min_rho,
                  options_.max_rho);
-  if (!mask_active()) {
-    assumed_rho_ = assumed;
-    solve_into(speeds_hat, assumed, fractions_scratch_);
-    install_raw(fractions_scratch_);
-    return;
-  }
-  // Survivors absorb the whole stream: scale the assumed utilization by
-  // total/survivor capacity, clamped (past max_rho the optimized scheme
-  // approaches the weighted one anyway).
-  survivor_speeds_scratch_.clear();
-  for (size_t i = 0; i < speeds_hat.size(); ++i) {
-    if (available_[i]) {
-      survivor_speeds_scratch_.push_back(speeds_hat[i]);
-    }
-  }
-  const double survivor_total = util::kahan_sum(survivor_speeds_scratch_);
-  const double effective =
-      std::clamp(assumed * total / survivor_total, options_.min_rho,
-                 options_.max_rho);
-  solve_into(survivor_speeds_scratch_, effective,
-             survivor_fractions_scratch_);
-  // Normalize the survivor solve (the Allocation the reconstructing
-  // path built from it), then expand with zeros; install_raw's single
-  // normalization reproduces the outer Allocation bit-identically.
-  alloc::Allocation::normalize(survivor_fractions_scratch_);
-  fractions_scratch_.assign(speeds_hat.size(), 0.0);
-  size_t next_survivor = 0;
-  for (size_t i = 0; i < speeds_hat.size(); ++i) {
-    if (available_[i]) {
-      fractions_scratch_[i] = survivor_fractions_scratch_[next_survivor++];
-    }
-  }
-  assumed_rho_ = effective;
+  assumed_rho_ = alloc::survivor_fractions_into(
+      speeds_hat_scratch_, available_, assumed, options_.min_rho,
+      options_.max_rho,
+      [this](std::span<const double> speeds, double rho,
+             std::vector<double>& out) { solve_into(speeds, rho, out); },
+      fractions_scratch_, survivor_scratch_);
   install_raw(fractions_scratch_);
 }
 
@@ -342,7 +277,8 @@ void GovernedAdaptiveDispatcher::reset() {
   available_.assign(believed_speeds_.size(), true);
   assumed_rho_ =
       std::clamp(believed_rho_, options_.min_rho, options_.max_rho);
-  install(solve(believed_speeds_, assumed_rho_));
+  solve_into(believed_speeds_, assumed_rho_, fractions_scratch_);
+  install_raw(fractions_scratch_);
 }
 
 const alloc::Allocation& GovernedAdaptiveDispatcher::allocation() const {
@@ -383,6 +319,10 @@ size_t GovernedAdaptiveDispatcher::restore_state(
       return 0;
     }
   }
+  const std::span<const double> fractions = state.subspan(3 + n + bank_len, n);
+  if (!alloc::Allocation::exact_fractions_valid(fractions)) {
+    return 0;
+  }
   // Restore the governor into a copy first, so a malformed block leaves
   // this dispatcher unchanged.
   ReallocationGovernor governor = governor_;
@@ -398,7 +338,7 @@ size_t GovernedAdaptiveDispatcher::restore_state(
   for (size_t i = 0; i < n; ++i) {
     available_[i] = state[3 + i] == 1.0;
   }
-  allocation_->assign_exact(state.subspan(3 + n + bank_len, n));
+  allocation_->assign_exact(fractions);
   governor_ = std::move(governor);
   const size_t own = fixed + governor_len;
   return own + inner_->restore_state(state.subspan(own));

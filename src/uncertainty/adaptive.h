@@ -7,9 +7,11 @@
 // the operator *believes* (possibly biased and noisy — see
 // uncertainty/config.h), then re-estimates both from the scheduler's own
 // observations (uncertainty/estimators.h), periodically re-solves the
-// allocation (alloc::solve_from_estimates), and swaps it in only when
-// the ReallocationGovernor agrees the believed improvement is real and
-// the change budget allows it. The inner dispatcher is the smoothed
+// allocation at the implied ρ̂ = λ̂·E[size]/Σŝ (inflated by the safety
+// factor and clamped), and swaps it in only when the
+// ReallocationGovernor agrees the believed improvement is real and the
+// change budget allows it. A re-estimation that the governor rejects
+// touches the allocator zero times. The inner dispatcher is the smoothed
 // round-robin of Algorithm 2, so a committed re-allocation changes the
 // weights, not the mechanism.
 //
@@ -25,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -143,17 +146,10 @@ class GovernedAdaptiveDispatcher final : public dispatch::Dispatcher {
   [[nodiscard]] uint64_t mask_rebuilds() const { return mask_rebuilds_; }
 
  private:
-  [[nodiscard]] bool mask_active() const;
-  /// Solve the configured scheme for (speeds, rho). Checks Σαᵢ = 1.
-  [[nodiscard]] alloc::Allocation solve(const std::vector<double>& speeds,
-                                        double rho) const;
-  /// Allocation-free solve: raw (un-normalized) scheme fractions into
+  /// The one solve: raw (un-normalized) scheme fractions into
   /// `fractions`, every intermediate in reused scratch.
   void solve_into(std::span<const double> speeds, double rho,
                   std::vector<double>& fractions);
-  /// Commit a solved allocation: move-assign into the live Allocation
-  /// and re-weight the live inner dispatcher (no reconstruction).
-  void install(alloc::Allocation allocation);
   /// Commit raw solver fractions in place — one normalization inside
   /// Allocation::assign, zero heap traffic once buffers are warm.
   void install_raw(std::span<const double> fractions);
@@ -178,15 +174,17 @@ class GovernedAdaptiveDispatcher final : public dispatch::Dispatcher {
   uint64_t mask_rebuilds_ = 0;
   std::vector<bool> available_;
   std::vector<ReallocEvent> timeline_;
-  std::unique_ptr<alloc::Allocation> allocation_;
+  std::optional<alloc::Allocation> allocation_;  // set by the constructor
+  /// The re-estimation's normalized proposal; a commit swaps it with
+  /// allocation_. Made at the first re-estimation.
+  std::optional<alloc::Allocation> proposal_;
   std::unique_ptr<dispatch::SmoothRoundRobinDispatcher> inner_;
 
-  // Scratch for the mask-rebuild path (reused across flips so survivor
-  // re-allocation under faults touches the allocator zero times).
+  // Scratch for re-estimation and mask rebuilds (reused, so neither
+  // touches the allocator once warm).
   std::vector<double> speeds_hat_scratch_;
-  std::vector<double> survivor_speeds_scratch_;
-  std::vector<double> survivor_fractions_scratch_;
   std::vector<double> fractions_scratch_;
+  alloc::SurvivorScratch survivor_scratch_;
   alloc::SolverScratch solver_scratch_;
 };
 

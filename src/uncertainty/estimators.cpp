@@ -117,15 +117,6 @@ double EstimatorBank::speed_hat(size_t machine, double fallback) const {
   return service_[machine].speed(fallback);
 }
 
-std::vector<double> EstimatorBank::speeds_hat(
-    const std::vector<double>& fallbacks) const {
-  std::vector<double> speeds(service_.size());
-  for (size_t i = 0; i < service_.size(); ++i) {
-    speeds[i] = service_[i].speed(fallbacks[i]);
-  }
-  return speeds;
-}
-
 void EstimatorBank::speeds_hat_into(const std::vector<double>& fallbacks,
                                     std::vector<double>& out) const {
   out.resize(service_.size());

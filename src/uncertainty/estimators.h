@@ -142,11 +142,8 @@ class EstimatorBank {
   /// Believed speed of `machine`, falling back to `fallback` until its
   /// estimator warms up.
   [[nodiscard]] double speed_hat(size_t machine, double fallback) const;
-  /// Believed speeds for all machines (per-machine fallbacks).
-  [[nodiscard]] std::vector<double> speeds_hat(
-      const std::vector<double>& fallbacks) const;
-  /// Allocation-free speeds_hat(): writes into `out`, reusing its
-  /// capacity (the adaptive rebuild paths call this per mask flip).
+  /// Believed speeds for all machines (per-machine fallbacks) into
+  /// `out`, reusing its capacity.
   void speeds_hat_into(const std::vector<double>& fallbacks,
                        std::vector<double>& out) const;
   /// ρ̂ implied by λ̂ and the believed speeds.

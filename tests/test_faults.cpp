@@ -2,6 +2,7 @@
 // expansion, server eviction, and failure-aware dispatching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <functional>
 #include <memory>
@@ -10,6 +11,8 @@
 #include <vector>
 
 #include "alloc/allocation.h"
+#include "alloc/optimized.h"
+#include "alloc/scheme.h"
 #include "cluster/faults.h"
 #include "core/adaptive.h"
 #include "core/policy.h"
@@ -22,7 +25,9 @@
 #include "queueing/rr_server.h"
 #include "rng/rng.h"
 #include "sim/simulator.h"
+#include "uncertainty/adaptive.h"
 #include "util/check.h"
+#include "util/math_util.h"
 
 namespace {
 
@@ -199,7 +204,8 @@ TEST(Eviction, PsServerDrainsAllResidentJobs) {
   hs::queueing::PsServer server(simulator, 1.0, 0);
   server.arrive(make_job(1, 5.0));
   server.arrive(make_job(2, 3.0));
-  const auto lost = server.evict_all();
+  std::vector<hs::queueing::Job> lost;
+  server.evict_all(lost);
   ASSERT_EQ(lost.size(), 2u);
   EXPECT_EQ(server.queue_length(), 0u);
   // No departure event survives the eviction.
@@ -213,7 +219,8 @@ TEST(Eviction, FcfsServerDrainsServiceAndQueue) {
   server.arrive(make_job(1, 5.0));
   server.arrive(make_job(2, 3.0));
   server.arrive(make_job(3, 1.0));
-  const auto lost = server.evict_all();
+  std::vector<hs::queueing::Job> lost;
+  server.evict_all(lost);
   ASSERT_EQ(lost.size(), 3u);
   EXPECT_EQ(lost[0].id, 1u);  // in-service job first
   EXPECT_EQ(server.queue_length(), 0u);
@@ -226,7 +233,8 @@ TEST(Eviction, RrServerDrainsReadyRing) {
   hs::queueing::RrServer server(simulator, 1.0, 0, 0.1);
   server.arrive(make_job(1, 5.0));
   server.arrive(make_job(2, 3.0));
-  const auto lost = server.evict_all();
+  std::vector<hs::queueing::Job> lost;
+  server.evict_all(lost);
   ASSERT_EQ(lost.size(), 2u);
   EXPECT_EQ(server.queue_length(), 0u);
   simulator.run_all();
@@ -465,6 +473,86 @@ TEST(MaskedAllocation, InPlaceFractionsMatchReferenceBitForBit) {
               << bits << " machine " << i;
         }
       }
+    }
+  }
+}
+
+// The adaptive dispatchers' survivor re-solves against the same
+// construct-and-expand chain: solve the survivors at the clamped
+// survivor-effective ρ, expand with zeros, construct.
+hs::alloc::Allocation survivor_reference(
+    const hs::alloc::AllocationScheme& scheme, const std::vector<bool>& mask,
+    double assumed, double lo, double hi, double& effective) {
+  std::vector<double> survivors;
+  for (size_t i = 0; i < kFiveSpeeds.size(); ++i) {
+    if (mask[i]) {
+      survivors.push_back(kFiveSpeeds[i]);
+    }
+  }
+  effective = std::clamp(assumed * hs::util::kahan_sum(kFiveSpeeds) /
+                             hs::util::kahan_sum(survivors),
+                         lo, hi);
+  const hs::alloc::Allocation solved = scheme.compute(survivors, effective);
+  std::vector<double> expanded(kFiveSpeeds.size(), 0.0);
+  size_t next = 0;
+  for (size_t i = 0; i < kFiveSpeeds.size(); ++i) {
+    if (mask[i]) {
+      expanded[i] = solved[next++];
+    }
+  }
+  return hs::alloc::Allocation(std::move(expanded));
+}
+
+void expect_bits_equal(const hs::alloc::Allocation& got,
+                       const hs::alloc::Allocation& want,
+                       const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i]), std::bit_cast<uint64_t>(want[i]))
+        << label << " machine " << i;
+  }
+}
+
+TEST(MaskedAllocation, AdaptiveSurvivorSolvesMatchReferenceBitForBit) {
+  const hs::alloc::OptimizedAllocation optimized;
+  const hs::alloc::WeightedAllocation weighted;
+  for (const double rho : {0.3, 0.7, 0.95}) {
+    // Every restricting mask: some machines down, not all.
+    for (uint32_t bits = 1; bits < 31; ++bits) {
+      const std::vector<bool> mask = mask_of(bits);
+      const std::string label =
+          "rho " + std::to_string(rho) + " mask " + std::to_string(bits);
+      for (const auto scheme : {hs::uncertainty::AdaptiveScheme::kOptimized,
+                                hs::uncertainty::AdaptiveScheme::kWeighted}) {
+        hs::uncertainty::AdaptiveOptions options;
+        options.scheme = scheme;
+        hs::uncertainty::GovernedAdaptiveDispatcher governed(kFiveSpeeds, rho,
+                                                             options);
+        ASSERT_TRUE(governed.set_available_mask(mask));
+        const double assumed = std::clamp(rho * options.safety_factor,
+                                          options.min_rho, options.max_rho);
+        double effective = 0.0;
+        const hs::alloc::Allocation want = survivor_reference(
+            scheme == hs::uncertainty::AdaptiveScheme::kOptimized
+                ? static_cast<const hs::alloc::AllocationScheme&>(optimized)
+                : weighted,
+            mask, assumed, options.min_rho, options.max_rho, effective);
+        expect_bits_equal(governed.allocation(), want, "governed " + label);
+        EXPECT_EQ(governed.assumed_rho(), effective) << label;
+      }
+      hs::core::AdaptiveOrrOptions orr_options;
+      orr_options.initial_rho = rho;
+      AdaptiveOrrDispatcher orr(kFiveSpeeds, orr_options);
+      ASSERT_TRUE(orr.set_available_mask(mask));
+      const double assumed =
+          std::clamp(rho * orr_options.safety_factor, orr_options.min_rho,
+                     orr_options.max_rho);
+      double effective = 0.0;
+      expect_bits_equal(orr.allocation(),
+                        survivor_reference(optimized, mask, assumed,
+                                           orr_options.min_rho,
+                                           orr_options.max_rho, effective),
+                        "adaptive-orr " + label);
     }
   }
 }

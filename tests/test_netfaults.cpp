@@ -233,6 +233,60 @@ TEST(NetFaults, HeartbeatTimeoutMatchesPhiFormula) {
   EXPECT_NEAR(hb.timeout(2.0), 8.0 * 2.0 * std::log(10.0), 1e-12);
 }
 
+// ---- PhiDetector: the one φ-accrual detector of both runtimes ----
+
+TEST(PhiDetector, BeatFoldsTheGapIntoTheEwma) {
+  hs::cluster::PhiDetector phi{1.0, 2.0};
+  phi.beat(2.5, 0.1);
+  EXPECT_EQ(phi.mean, (1.0 - 0.1) * 2.0 + 0.1 * 1.5);
+  EXPECT_EQ(phi.last, 2.5);
+  phi.beat(2.5, 0.1);  // a zero gap still counts
+  EXPECT_EQ(phi.mean, (1.0 - 0.1) * ((1.0 - 0.1) * 2.0 + 0.1 * 1.5));
+}
+
+TEST(PhiDetector, NegativeGapChangesNothing) {
+  hs::cluster::PhiDetector phi{5.0, 2.0};
+  phi.beat(4.0, 0.5);
+  EXPECT_EQ(phi.last, 5.0);
+  EXPECT_EQ(phi.mean, 2.0);
+}
+
+// The simulator arms every detector at t = 0 with mean = interval, so a
+// machine that never beats is suspected at timeout(interval); serving
+// arms a backend at its first heartbeat. Both must give the timeouts
+// the two runtimes computed with their own EWMA copies.
+TEST(PhiDetector, BothStartRulesGiveTheCallersTimeouts) {
+  hs::cluster::HeartbeatConfig hb;
+  hb.interval = 2.0;
+  hb.phi_threshold = 4.0;
+  hb.ewma_alpha = 0.1;
+  const double a = hb.ewma_alpha;
+  const std::vector<double> beats = {2.3, 4.1, 6.8, 8.0};
+
+  hs::cluster::PhiDetector sim{0.0, hb.interval};
+  EXPECT_EQ(hb.timeout(sim.mean), hb.timeout(hb.interval));
+  double last = 0.0;
+  double mean = hb.interval;
+  for (const double t : beats) {
+    sim.beat(t, a);
+    mean = (1.0 - a) * mean + a * (t - last);
+    last = t;
+    EXPECT_EQ(sim.last, last);
+    EXPECT_EQ(hb.timeout(sim.mean), hb.timeout(mean)) << t;
+  }
+
+  hs::cluster::PhiDetector serving{beats[0], hb.interval};
+  last = beats[0];
+  mean = hb.interval;
+  for (size_t i = 1; i < beats.size(); ++i) {
+    serving.beat(beats[i], a);
+    mean = (1.0 - a) * mean + a * (beats[i] - last);
+    last = beats[i];
+    EXPECT_EQ(serving.last, last);
+    EXPECT_EQ(hb.timeout(serving.mean), hb.timeout(mean)) << i;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Simulation wiring.
 

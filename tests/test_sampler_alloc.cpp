@@ -290,4 +290,42 @@ TEST(SamplerAllocation, GovernedAdaptiveMaskFlipIsAllocationFree) {
   EXPECT_EQ(guard.count(), 0u);
 }
 
+// Governed re-estimation: each tick re-solves Algorithm 1 from the fresh
+// estimates into retained scratch and normalizes it into a reused
+// proposal, so a tick the governor rejects allocates nothing.
+TEST(SamplerAllocation, GovernedReestimationIsAllocationFree) {
+  const std::vector<double> speeds = {4.0, 2.0, 2.0, 1.0};
+  hs::uncertainty::AdaptiveOptions options;
+  options.mean_job_size = 1.0;
+  options.time_constant = 50.0;
+  options.reestimate_every = 8;
+  options.governor.min_improvement = 0.9;  // no proposal is good enough
+  hs::uncertainty::GovernedAdaptiveDispatcher dispatcher(speeds, 0.6,
+                                                         options);
+  Xoshiro256 gen(19);
+  double now = 0.0;
+  size_t previous = speeds.size();
+  // One job at a time, each busy until the next arrival with the work
+  // its machine's true speed does in that time.
+  const auto drive = [&](int arrivals) {
+    for (int i = 0; i < arrivals; ++i) {
+      now += 0.2;
+      if (previous < speeds.size()) {
+        dispatcher.on_departure_report(previous, now,
+                                       0.2 * speeds[previous]);
+      }
+      dispatcher.on_arrival(now);
+      previous = dispatcher.pick(gen);
+    }
+  };
+  drive(400);  // warms the estimators and makes the proposal buffer
+  const uint64_t rejections = dispatcher.governor().rejections();
+  ASSERT_GT(rejections, 0u);
+  AllocGuard guard;
+  drive(4000);
+  EXPECT_EQ(guard.count(), 0u);
+  EXPECT_EQ(dispatcher.governor().commits(), 0u);
+  EXPECT_EQ(dispatcher.governor().rejections(), rejections + 500);
+}
+
 }  // namespace

@@ -611,6 +611,45 @@ TEST(ChaosSnapshotTest, GovernedCheckpointWithoutGovernorIsRefused) {
   EXPECT_THROW(restored.restore(snap), hs::util::CheckError);
 }
 
+// A governed checkpoint whose committed-fraction block is out of range
+// is refused whole: restore_state returns 0 before changing anything
+// (the estimator bank, ρ̂, the tick counter and the mask come first in
+// the block), and the serving runtime throws with the stack unchanged.
+TEST(ChaosSnapshotTest, GovernedCheckpointWithBadFractionLeavesStackUnchanged) {
+  auto stack = make_governed_stack();
+  ManualClock clock;
+  ServingConfig config;
+  config.clock = &clock;
+  ServingDispatcher serving(*stack, config);
+  for (int i = 0; i < 250; ++i) {
+    clock.advance(0.02);
+    const size_t machine = serving.acquire(1.0);
+    ASSERT_EQ(serving.release(machine, 1.0), ServingStatus::kOk);
+  }
+  const size_t n = kSpeeds.size();
+  const size_t first_fraction = 3 + n + (4 + 5 * n);
+  std::vector<double> saved;
+  (void)stack->save_state(saved);
+  saved[first_fraction] = 2.0;
+
+  auto fresh = make_governed_stack();
+  std::vector<double> before;
+  (void)fresh->save_state(before);
+  EXPECT_EQ(fresh->restore_state(saved), 0u);
+  std::vector<double> after;
+  (void)fresh->save_state(after);
+  EXPECT_EQ(after, before);
+
+  ServingSnapshot snap = serving.capture_snapshot();
+  snap.policy_state[first_fraction] = 2.0;
+  auto restored_stack = make_governed_stack();
+  ServingDispatcher restored(*restored_stack);
+  EXPECT_THROW(restored.restore(snap), hs::util::CheckError);
+  after.clear();
+  (void)restored_stack->save_state(after);
+  EXPECT_EQ(after, before);
+}
+
 TEST(ChaosSnapshotTest, HealthStateSurvivesTheRoundTrip) {
   auto stack = make_fault_aware_random();
   ManualClock clock;
